@@ -8,9 +8,11 @@
 //!   IPv6-accessible over the campaign is modeled as AAAA records appearing
 //!   at a given week.
 //! * [`resolver`] — a caching stub resolver with TTL expiry, mirroring the
-//!   resolver each vantage point used.
+//!   resolver each vantage point used. It is keyed by interned [`NameId`]s
+//!   and allocates nothing once warm.
 //! * [`wire`] — an RFC 1035 message codec (header, question, answer with
-//!   A/AAAA RDATA) so queries and responses exist as real bytes.
+//!   A/AAAA RDATA) so queries and responses exist as real bytes; every
+//!   resolver cache miss goes through it.
 
 pub mod names;
 pub mod records;
@@ -19,7 +21,7 @@ pub mod wire;
 pub mod zone;
 
 pub use names::{NameId, NameTable};
-pub use records::{Record, RecordData, RecordType};
+pub use records::{Answer, AnswerRecord, Record, RecordData, RecordType};
 pub use resolver::{DnsError, Resolver, ResolverStats};
 pub use wire::{DnsHeader, DnsMessage, DnsQuestion, DnsRecordWire};
 pub use zone::{ZoneDb, ZoneEntry};

@@ -73,6 +73,41 @@ impl Record {
     }
 }
 
+/// One answer record as a resolver returns it: the address and its TTL.
+/// The owner name is the question's, so it is not carried again.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct AnswerRecord {
+    /// Address payload.
+    pub data: RecordData,
+    /// Time to live, seconds.
+    pub ttl: u32,
+}
+
+/// The answer section of one resolved question, held inline: empty for
+/// NODATA, else the one record the authority holds for that family (a
+/// [`ZoneEntry`](crate::ZoneEntry) keeps one address per family). It
+/// dereferences to a slice of [`AnswerRecord`]s.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Answer(Option<AnswerRecord>);
+
+impl Answer {
+    /// The empty answer: the name exists but has no record of the type.
+    pub const NODATA: Answer = Answer(None);
+
+    /// A one-record answer.
+    pub fn record(data: RecordData, ttl: u32) -> Self {
+        Answer(Some(AnswerRecord { data, ttl }))
+    }
+}
+
+impl std::ops::Deref for Answer {
+    type Target = [AnswerRecord];
+
+    fn deref(&self) -> &[AnswerRecord] {
+        self.0.as_slice()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -100,5 +135,17 @@ mod tests {
         assert_eq!(a.data.record_type(), RecordType::A);
         let q = Record::aaaa("x.example", "2001:db8::1".parse().unwrap(), 60);
         assert_eq!(q.data.record_type(), RecordType::Aaaa);
+    }
+
+    #[test]
+    fn answers_are_empty_or_one_record() {
+        assert!(Answer::NODATA.is_empty());
+        assert_eq!(Answer::default(), Answer::NODATA);
+        let a = Answer::record(RecordData::V4(Ipv4Addr::new(192, 0, 2, 1)), 300);
+        assert_eq!(a.len(), 1);
+        assert_eq!(
+            a[0],
+            AnswerRecord { data: RecordData::V4(Ipv4Addr::new(192, 0, 2, 1)), ttl: 300 }
+        );
     }
 }

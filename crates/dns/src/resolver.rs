@@ -2,15 +2,29 @@
 //!
 //! Each vantage point resolves names through a local caching resolver; the
 //! monitor's randomized query order means cache state varies round to
-//! round. The resolver speaks the wire format end to end: every lookup
-//! encodes a query, the zone side builds a response, and both are parsed
-//! back — keeping the codec on the hot path.
+//! round. The resolver speaks the wire format end to end: every cache miss
+//! encodes a query, decodes it, lets the authority answer the decoded
+//! question, encodes the response and decodes it again — keeping the RFC
+//! 1035 codec on the hot path, so `dns.codec_errors` and the
+//! `dns.wire_bytes` histogram measure real bytes.
+//!
+//! Once warm, a lookup allocates nothing. The cache is keyed by the zone's
+//! interned [`NameId`]s under a multiplicative hash (ids are dense `u32`s,
+//! so SipHash buys nothing), its lines hold an inline [`Answer`] with no
+//! heap data, and the query and response are encoded into, and decoded
+//! from, buffers the resolver keeps between lookups. Only a name the zone
+//! never interned takes a cold path that keys its cache lines by an owned
+//! copy of the name. Because the keys are one zone's ids, a resolver
+//! serves one zone.
 
-use crate::records::{Record, RecordData, RecordType};
-use crate::wire::{DnsMessage, RCODE_NXDOMAIN};
-use crate::zone::ZoneDb;
+use crate::names::NameId;
+use crate::records::{Answer, RecordData, RecordType};
+use crate::wire::{MessageWriter, WireMessage, RCODE_NXDOMAIN};
+use crate::zone::{ZoneDb, ZoneEntry};
+use ipv6web_packet::PacketError;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Resolver statistics.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
@@ -23,15 +37,66 @@ pub struct ResolverStats {
     pub nxdomain: u64,
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 struct CacheLine {
-    records: Vec<Record>,
+    answer: Answer,
     expires_at: u64,
 }
+
+/// What the caches are keyed by: an interned name's id, or — on the cold
+/// path, for a name the zone never interned — the name itself.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+enum NameKey {
+    Id(NameId),
+    Cold(Box<str>),
+}
+
+/// FxHash-style multiplicative hasher for the cache keys. It offers no
+/// protection against crafted collisions, which is sound here because no
+/// key comes from outside the program: ids are the zone's, and cold names
+/// are the ones the caller asks for.
+#[derive(Debug, Default, Clone, Copy)]
+struct IdHasher(u64);
+
+impl IdHasher {
+    #[inline]
+    fn add(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+}
+
+impl Hasher for IdHasher {
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    #[inline]
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.add(u64::from(b));
+        }
+    }
+
+    #[inline]
+    fn write_u32(&mut self, n: u32) {
+        self.add(u64::from(n));
+    }
+
+    #[inline]
+    fn write_usize(&mut self, n: usize) {
+        self.add(n as u64);
+    }
+}
+
+type IdMap<K, V> = HashMap<K, V, BuildHasherDefault<IdHasher>>;
 
 /// Negative-cache TTL for NXDOMAIN answers (RFC 2308 suggests the SOA
 /// minimum; the simulated zones use a flat value).
 const NEGATIVE_TTL_S: u64 = 300;
+
+/// Cache TTL of a NODATA answer, which carries no record TTL of its own.
+const NODATA_TTL_S: u32 = 60;
 
 /// An injected failure of one resolver exchange, as classified by a
 /// fault-aware caller. Nothing is cached for a failed exchange.
@@ -57,14 +122,103 @@ impl std::fmt::Display for DnsError {
 
 impl std::error::Error for DnsError {}
 
+/// The buffers one exchange is encoded into and decoded from, kept between
+/// lookups.
+#[derive(Debug, Clone, Default)]
+struct Wire {
+    query: Vec<u8>,
+    response: Vec<u8>,
+    parsed_query: WireMessage,
+    parsed_response: WireMessage,
+}
+
+impl Wire {
+    /// The rest of the round trip once `query` holds the encoded query:
+    /// decodes the query, lets the authority answer the decoded question, encodes
+    /// the response and decodes it. `id` is the interned id the query was
+    /// made for, if any. Returns the decoded answer, or `None` for
+    /// NXDOMAIN.
+    fn exchange(
+        &mut self,
+        zone: &ZoneDb,
+        id: Option<NameId>,
+        week: u32,
+    ) -> Result<Option<Answer>, PacketError> {
+        self.parsed_query.decode(&self.query)?;
+        let Some((qname, qtype)) = self.parsed_query.questions().next() else {
+            return Err(PacketError::BadField { what: "dns query without a question" });
+        };
+        let tx = self.parsed_query.header().id;
+        let (rcode, answer) = match authority(zone, id, qname) {
+            Some(entry) => (0, entry.answer(qtype, week)),
+            None => (RCODE_NXDOMAIN, Answer::NODATA),
+        };
+        let mut w = MessageWriter::new(&mut self.response, tx, true, rcode);
+        w.question(qname, qtype)?;
+        for r in answer.iter() {
+            w.answer(qname, r.ttl, r.data)?;
+        }
+        self.parsed_response.decode(&self.response)?;
+        debug_assert_eq!(self.parsed_response.header().id, tx, "transaction id must match");
+        ipv6web_obs::observe("dns.wire_bytes", (self.query.len() + self.response.len()) as u64);
+        if self.parsed_response.header().rcode == RCODE_NXDOMAIN {
+            return Ok(None);
+        }
+        Ok(Some(self.decoded_answer()))
+    }
+
+    /// RFC 6147 AAAA synthesis for the question of the last exchange:
+    /// embeds the name's A record in the well-known prefix and runs the
+    /// result through its own response encode/decode pass, so synthesized
+    /// answers exercise the codec bit-for-bit. Returns `None` when the
+    /// name has no A record either — genuine NODATA stays NODATA.
+    fn synthesize_aaaa(&mut self, zone: &ZoneDb, id: Option<NameId>, week: u32) -> Option<Answer> {
+        let (qname, qtype) = self.parsed_query.questions().next()?;
+        let a = authority(zone, id, qname)?.answer(RecordType::A, week);
+        let &[r] = &a[..] else { return None };
+        let RecordData::V4(v4) = r.data else { return None };
+        let synthesized = RecordData::V6(ipv6web_xlat::synthesize(v4));
+        let tx = self.parsed_query.header().id;
+        let mut w = MessageWriter::new(&mut self.response, tx, true, 0);
+        let encoded = w.question(qname, qtype).and_then(|()| w.answer(qname, r.ttl, synthesized));
+        if encoded.and_then(|()| self.parsed_response.decode(&self.response)).is_err() {
+            ipv6web_obs::inc("dns.codec_errors");
+            return None;
+        }
+        ipv6web_obs::inc("dns64.synthesized");
+        ipv6web_obs::observe("dns.wire_bytes", self.response.len() as u64);
+        Some(self.decoded_answer())
+    }
+
+    /// The answer section of the last decoded response. The authority
+    /// never answers with more than one record.
+    fn decoded_answer(&self) -> Answer {
+        debug_assert!(self.parsed_response.answers().len() <= 1, "one record per family");
+        self.parsed_response
+            .answers()
+            .next()
+            .map_or(Answer::NODATA, |(_, ttl, data)| Answer::record(data, ttl))
+    }
+}
+
+/// The zone entry answering the decoded question `qname`: by interned id
+/// when the decoded bytes are the interned name, else by name.
+fn authority<'z>(zone: &'z ZoneDb, id: Option<NameId>, qname: &str) -> Option<&'z ZoneEntry> {
+    match id {
+        Some(id) if zone.name_of(id) == qname => zone.entry_by_id(id),
+        _ => zone.entry(qname),
+    }
+}
+
 /// A caching stub resolver bound to a [`ZoneDb`] authority.
 #[derive(Debug, Clone)]
 pub struct Resolver {
-    cache: HashMap<(String, RecordType), CacheLine>,
-    negative: HashMap<String, u64>,
+    cache: IdMap<(NameKey, RecordType), CacheLine>,
+    negative: IdMap<NameKey, u64>,
     stats: ResolverStats,
     next_id: u16,
     dns64: bool,
+    wire: Wire,
 }
 
 impl Default for Resolver {
@@ -77,18 +231,19 @@ impl Resolver {
     /// Fresh resolver with an empty cache.
     pub fn new() -> Self {
         Resolver {
-            cache: HashMap::new(),
-            negative: HashMap::new(),
+            cache: IdMap::default(),
+            negative: IdMap::default(),
             stats: ResolverStats::default(),
             next_id: 1,
             dns64: false,
+            wire: Wire::default(),
         }
     }
 
     /// Fresh resolver in DNS64 mode (RFC 6147): an AAAA query that would
-    /// return NODATA against a v4-only name instead answers with addresses
+    /// return NODATA against a v4-only name instead answers with an address
     /// synthesized into the NAT64 well-known prefix `64:ff9b::/96`, built
-    /// from the name's A records and passed through the real wire codec
+    /// from the name's A record and passed through the real wire codec
     /// like any authoritative answer. Names with a genuine AAAA are never
     /// rewritten, and NXDOMAIN stays NXDOMAIN.
     pub fn dns64() -> Self {
@@ -112,8 +267,9 @@ impl Resolver {
     }
 
     /// Resolves `(name, qtype)` at simulated time `now_s` (seconds) during
-    /// campaign `week`. Returns the answer records (empty = NODATA) or
-    /// `None` for NXDOMAIN.
+    /// campaign `week`. Returns the answer (empty = NODATA) or `None` for
+    /// NXDOMAIN. An interned name resolves exactly as [`Resolver::resolve_id`]
+    /// does; any other name takes the allocating cold path.
     pub fn resolve(
         &mut self,
         zone: &ZoneDb,
@@ -121,130 +277,24 @@ impl Resolver {
         qtype: RecordType,
         week: u32,
         now_s: u64,
-    ) -> Option<Vec<Record>> {
-        ipv6web_obs::inc("dns.queries");
-        // The wire codec carries labels of at most 63 bytes and the decoder
-        // refuses names deeper than 32 labels. A name outside those bounds
-        // can never round-trip, so it can never resolve — answer NXDOMAIN-ish
-        // up front rather than tearing the codec on the hot path.
-        if name.split('.').any(|l| l.len() > 63)
-            || name.split('.').filter(|l| !l.is_empty()).count() > 32
-        {
-            ipv6web_obs::inc("dns.unencodable_names");
-            return None;
-        }
-        let key = (name.to_string(), qtype);
-        // RFC 2308 negative caching: a fresh NXDOMAIN answers any qtype.
-        if let Some(&until) = self.negative.get(name) {
-            if until > now_s {
-                self.stats.cache_hits += 1;
-                ipv6web_obs::inc("dns.cache_hits");
-                return None;
-            }
-            self.negative.remove(name);
-        }
-        if let Some(line) = self.cache.get(&key) {
-            if line.expires_at > now_s {
-                self.stats.cache_hits += 1;
-                ipv6web_obs::inc("dns.cache_hits");
-                return Some(line.records.clone());
-            }
-            self.cache.remove(&key);
-        }
-        self.stats.cache_misses += 1;
-        ipv6web_obs::inc("dns.cache_misses");
-
-        // Full wire round trip.
-        let id = self.next_id;
-        self.next_id = self.next_id.wrapping_add(1).max(1);
-        let qmsg = DnsMessage::query(id, name, qtype);
-        let qwire = qmsg.to_vec();
-        // The codec is exercised on our own well-formed messages, so a
-        // decode failure means a codec bug, not bad input. Degrade to an
-        // unanswered query (counted, uncached) instead of panicking the
-        // whole campaign thread.
-        let Ok(parsed_q) = DnsMessage::decode(&qwire) else {
-            ipv6web_obs::inc("dns.codec_errors");
-            return None;
-        };
-        let auth = zone.query(&parsed_q.questions[0].name, qtype, week);
-        let resp = match &auth {
-            Some(records) => DnsMessage::response(&parsed_q, records, false),
-            None => DnsMessage::response(&parsed_q, &[], true),
-        };
-        let rwire = resp.to_vec();
-        let Ok(parsed_r) = DnsMessage::decode(&rwire) else {
-            ipv6web_obs::inc("dns.codec_errors");
-            return None;
-        };
-        debug_assert_eq!(parsed_r.header.id, id, "transaction id must match");
-
-        ipv6web_obs::observe("dns.wire_bytes", (qwire.len() + rwire.len()) as u64);
-        if parsed_r.header.rcode == RCODE_NXDOMAIN {
-            self.stats.nxdomain += 1;
-            ipv6web_obs::inc("dns.nxdomain");
-            self.negative.insert(name.to_string(), now_s + NEGATIVE_TTL_S);
-            return None;
-        }
-        let mut records: Vec<Record> = parsed_r
-            .answers
-            .iter()
-            .map(|a| Record { name: a.name.clone(), data: a.data, ttl: a.ttl })
-            .collect();
-        if self.dns64 && qtype == RecordType::Aaaa {
-            if records.is_empty() {
-                if let Some(synth) = self.synthesize_aaaa(&parsed_q, zone, week) {
-                    records = synth;
-                }
-            } else {
-                ipv6web_obs::inc("dns64.native_aaaa_skipped");
-            }
-        }
-        let ttl = records.iter().map(|r| r.ttl).min().unwrap_or(60);
-        self.cache
-            .insert(key, CacheLine { records: records.clone(), expires_at: now_s + ttl as u64 });
-        Some(records)
+    ) -> Option<Answer> {
+        self.lookup(zone, zone.id_of(name), name, qtype, week, now_s)
     }
 
-    /// RFC 6147 AAAA synthesis: embeds each of the name's A records in the
-    /// well-known prefix and runs the result through the same wire round
-    /// trip as an authoritative answer, so synthesized responses exercise
-    /// the codec bit-for-bit. Returns `None` when the name has no A
-    /// records either — genuine NODATA stays NODATA.
-    fn synthesize_aaaa(
+    /// [`Resolver::resolve`] for a name the zone interned as `id` — the
+    /// probe's path, which never allocates once the resolver is warm.
+    ///
+    /// # Panics
+    /// Panics if `id` was not minted by `zone`'s name table.
+    pub fn resolve_id(
         &mut self,
-        parsed_q: &DnsMessage,
         zone: &ZoneDb,
+        id: NameId,
+        qtype: RecordType,
         week: u32,
-    ) -> Option<Vec<Record>> {
-        let name = &parsed_q.questions[0].name;
-        let a_records = zone.query(name, RecordType::A, week)?;
-        let synth: Vec<Record> = a_records
-            .iter()
-            .filter_map(|r| match r.data {
-                RecordData::V4(v4) => {
-                    Some(Record::aaaa(r.name.clone(), ipv6web_xlat::synthesize(v4), r.ttl))
-                }
-                RecordData::V6(_) => None,
-            })
-            .collect();
-        if synth.is_empty() {
-            return None;
-        }
-        let rwire = DnsMessage::response(parsed_q, &synth, false).to_vec();
-        let Ok(parsed_r) = DnsMessage::decode(&rwire) else {
-            ipv6web_obs::inc("dns.codec_errors");
-            return None;
-        };
-        ipv6web_obs::inc("dns64.synthesized");
-        ipv6web_obs::observe("dns.wire_bytes", rwire.len() as u64);
-        Some(
-            parsed_r
-                .answers
-                .iter()
-                .map(|a| Record { name: a.name.clone(), data: a.data, ttl: a.ttl })
-                .collect(),
-        )
+        now_s: u64,
+    ) -> Option<Answer> {
+        self.lookup(zone, Some(id), zone.name_of(id), qtype, week, now_s)
     }
 
     /// [`Resolver::resolve`] with an optional injected fault. `fault: None`
@@ -260,21 +310,123 @@ impl Resolver {
         week: u32,
         now_s: u64,
         fault: Option<DnsError>,
-    ) -> Result<Option<Vec<Record>>, DnsError> {
-        match fault {
-            None => Ok(self.resolve(zone, name, qtype, week, now_s)),
-            Some(err) => {
-                ipv6web_obs::inc("dns.faulted");
-                Err(err)
+    ) -> Result<Option<Answer>, DnsError> {
+        injected(fault)?;
+        Ok(self.resolve(zone, name, qtype, week, now_s))
+    }
+
+    /// [`Resolver::resolve_id`] with an optional injected fault, as
+    /// [`Resolver::resolve_faulted`].
+    pub fn resolve_id_faulted(
+        &mut self,
+        zone: &ZoneDb,
+        id: NameId,
+        qtype: RecordType,
+        week: u32,
+        now_s: u64,
+        fault: Option<DnsError>,
+    ) -> Result<Option<Answer>, DnsError> {
+        injected(fault)?;
+        Ok(self.resolve_id(zone, id, qtype, week, now_s))
+    }
+
+    /// The one resolve core. `id` is `name`'s interned id, or `None` for
+    /// a name the zone never interned.
+    fn lookup(
+        &mut self,
+        zone: &ZoneDb,
+        id: Option<NameId>,
+        name: &str,
+        qtype: RecordType,
+        week: u32,
+        now_s: u64,
+    ) -> Option<Answer> {
+        ipv6web_obs::inc("dns.queries");
+        // The query is encoded before the cache is consulted, because the
+        // encoder is where a name's labels are checked (at most 63 bytes
+        // each, at most 32 deep). A name outside those bounds can never
+        // round-trip, so it can never resolve: answer NXDOMAIN-ish before
+        // any cache traffic rather than tearing the codec. The bytes only
+        // go on the wire on a miss; a hit leaves the transaction id unused.
+        let mut query = MessageWriter::new(&mut self.wire.query, self.next_id, false, 0);
+        if query.question(name, qtype).is_err() {
+            ipv6web_obs::inc("dns.unencodable_names");
+            return None;
+        }
+        let key = match id {
+            Some(id) => NameKey::Id(id),
+            None => NameKey::Cold(name.into()),
+        };
+        // RFC 2308 negative caching: a fresh NXDOMAIN answers any qtype.
+        if let Some(&until) = self.negative.get(&key) {
+            if until > now_s {
+                self.stats.cache_hits += 1;
+                ipv6web_obs::inc("dns.cache_hits");
+                return None;
+            }
+            self.negative.remove(&key);
+        }
+        let line_key = (key, qtype);
+        if let Some(line) = self.cache.get(&line_key) {
+            if line.expires_at > now_s {
+                self.stats.cache_hits += 1;
+                ipv6web_obs::inc("dns.cache_hits");
+                return Some(line.answer);
+            }
+            self.cache.remove(&line_key);
+        }
+        self.stats.cache_misses += 1;
+        ipv6web_obs::inc("dns.cache_misses");
+        self.next_id = self.next_id.wrapping_add(1).max(1);
+
+        // The codec is exercised on our own well-formed messages, so a
+        // failure means a codec bug, not bad input. Degrade to an
+        // unanswered query (counted, uncached) instead of panicking the
+        // whole campaign thread.
+        let mut answer = match self.wire.exchange(zone, id, week) {
+            Err(_) => {
+                ipv6web_obs::inc("dns.codec_errors");
+                return None;
+            }
+            Ok(None) => {
+                self.stats.nxdomain += 1;
+                ipv6web_obs::inc("dns.nxdomain");
+                self.negative.insert(line_key.0, now_s + NEGATIVE_TTL_S);
+                return None;
+            }
+            Ok(Some(answer)) => answer,
+        };
+        if self.dns64 && qtype == RecordType::Aaaa {
+            if answer.is_empty() {
+                if let Some(synthesized) = self.wire.synthesize_aaaa(zone, id, week) {
+                    answer = synthesized;
+                }
+            } else {
+                ipv6web_obs::inc("dns64.native_aaaa_skipped");
             }
         }
+        let ttl = answer.first().map_or(NODATA_TTL_S, |r| r.ttl);
+        self.cache.insert(line_key, CacheLine { answer, expires_at: now_s + u64::from(ttl) });
+        Some(answer)
     }
 
     /// Drops all cached entries — the monitor's "proper resetting to avoid
-    /// local caching effects" between repeated downloads.
+    /// local caching effects" between repeated downloads. The caches keep
+    /// their capacity, so refilling them allocates nothing.
     pub fn flush(&mut self) {
         self.cache.clear();
         self.negative.clear();
+    }
+}
+
+/// Fails the exchange with the injected fault, if any.
+fn injected(fault: Option<DnsError>) -> Result<(), DnsError> {
+    match fault {
+        None => Ok(()),
+        Some(err) => {
+            ipv6web_obs::inc("dns.faulted");
+            Err(err)
+        }
     }
 }
 
@@ -494,6 +646,42 @@ mod tests {
         assert!(!r.is_dns64());
         let ans = r.resolve(&db, "a.example", RecordType::Aaaa, 0, 0).unwrap();
         assert!(ans.is_empty(), "NODATA stays NODATA without DNS64");
+    }
+
+    #[test]
+    fn interned_id_and_name_resolve_alike() {
+        let db = zone();
+        let id = db.id_of("a.example").unwrap();
+        let (mut by_name, mut by_id) = (Resolver::dns64(), Resolver::dns64());
+        for (week, now) in [(0, 0), (0, 50), (5, 200), (9, 1000)] {
+            for qtype in [RecordType::A, RecordType::Aaaa] {
+                assert_eq!(
+                    by_id.resolve_id(&db, id, qtype, week, now),
+                    by_name.resolve(&db, "a.example", qtype, week, now),
+                    "{qtype:?} week {week}"
+                );
+            }
+        }
+        assert_eq!(by_id.stats(), by_name.stats());
+        assert_eq!(by_id.cache_len(), by_name.cache_len());
+    }
+
+    #[test]
+    fn uninterned_spelling_answers_by_its_decoded_name() {
+        // "a.example." is not interned, but its query decodes to the
+        // interned "a.example": the authority answers, and the cold path
+        // caches the answer under the spelling that was asked.
+        let db = zone();
+        assert_eq!(db.id_of("a.example."), None);
+        let mut r = Resolver::new();
+        let cold = r.resolve(&db, "a.example.", RecordType::A, 0, 0).unwrap();
+        assert_eq!(cold.len(), 1);
+        assert_eq!(r.resolve(&db, "a.example.", RecordType::A, 0, 10), Some(cold));
+        assert_eq!(r.stats().cache_hits, 1);
+        // the interned spelling keeps its own line
+        assert_eq!(r.resolve(&db, "a.example", RecordType::A, 0, 10), Some(cold));
+        assert_eq!(r.stats().cache_misses, 2);
+        assert_eq!(r.cache_len(), 2);
     }
 
     #[test]

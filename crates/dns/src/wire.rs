@@ -1,16 +1,31 @@
 //! RFC 1035 message codec (query/response, A and AAAA answers).
 //!
+//! There is one encoder and one decoder. `MessageWriter` appends a
+//! message to a caller-owned buffer, and `WireMessage` decodes into
+//! buffers it keeps from one message to the next, so the resolver's hot
+//! path reuses the same memory for every lookup. [`DnsMessage`] is the
+//! owned form: its [`to_vec`](DnsMessage::to_vec) and
+//! [`decode`](DnsMessage::decode) are thin wrappers over the same two.
+//!
 //! Names are encoded as uncompressed label sequences; the decoder also
 //! understands (and rejects cleanly) compression pointers, which this
-//! encoder never emits.
+//! encoder never emits. The encoder refuses exactly the names the decoder
+//! would reject — a label over [`MAX_LABEL_LEN`] bytes or more than
+//! [`MAX_LABELS`] labels — and checks both in the pass that writes the
+//! name.
 
 use crate::records::{Record, RecordData, RecordType};
-use bytes::{Buf, BufMut};
+use bytes::BufMut;
 use ipv6web_packet::PacketError;
-use std::net::{Ipv4Addr, Ipv6Addr};
+
+/// Longest label the wire carries, in bytes (RFC 1035 §2.3.4).
+pub const MAX_LABEL_LEN: usize = 63;
+
+/// Deepest name the codec carries, in labels.
+pub const MAX_LABELS: usize = 32;
 
 /// Message header (12 bytes).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DnsHeader {
     /// Transaction id.
     pub id: u16,
@@ -87,177 +102,304 @@ impl DnsMessage {
         }
     }
 
-    /// Encodes to wire bytes.
-    pub fn to_vec(&self) -> Vec<u8> {
-        let mut v = Vec::with_capacity(64);
-        v.put_u16(self.header.id);
-        let mut flags: u16 = 0;
-        if self.header.response {
-            flags |= 0x8000;
-        }
-        flags |= 0x0100; // RD
-        flags |= self.header.rcode as u16 & 0x000f;
-        v.put_u16(flags);
-        v.put_u16(self.questions.len() as u16);
-        v.put_u16(self.answers.len() as u16);
-        v.put_u16(0); // NSCOUNT
-        v.put_u16(0); // ARCOUNT
+    /// Encodes to wire bytes. The section counts come from the sections
+    /// themselves, not from `header`.
+    ///
+    /// # Errors
+    /// A name with a label over [`MAX_LABEL_LEN`] bytes or more than
+    /// [`MAX_LABELS`] labels, which the codec cannot carry.
+    pub fn to_vec(&self) -> Result<Vec<u8>, PacketError> {
+        let mut out = Vec::with_capacity(64);
+        let mut w =
+            MessageWriter::new(&mut out, self.header.id, self.header.response, self.header.rcode);
         for q in &self.questions {
-            encode_name(&mut v, &q.name);
-            v.put_u16(q.qtype.code());
-            v.put_u16(1); // IN
+            w.question(&q.name, q.qtype)?;
         }
         for a in &self.answers {
-            encode_name(&mut v, &a.name);
-            v.put_u16(a.data.record_type().code());
-            v.put_u16(1); // IN
-            v.put_u32(a.ttl);
-            match a.data {
-                RecordData::V4(ip) => {
-                    v.put_u16(4);
-                    v.put_slice(&ip.octets());
-                }
-                RecordData::V6(ip) => {
-                    v.put_u16(16);
-                    v.put_slice(&ip.octets());
-                }
-            }
+            w.answer(&a.name, a.ttl, a.data)?;
         }
-        v
+        Ok(out)
     }
 
     /// Decodes a message.
     pub fn decode(data: &[u8]) -> Result<Self, PacketError> {
-        let mut buf = data;
-        if buf.remaining() < 12 {
-            return Err(PacketError::Truncated {
-                what: "dns header",
-                needed: 12,
-                got: buf.remaining(),
-            });
+        let mut msg = WireMessage::default();
+        msg.decode(data)?;
+        Ok(msg.to_message())
+    }
+}
+
+/// Writes one message into a caller-owned buffer: the header first, then
+/// questions and answers, each bumping its section count in the header.
+#[derive(Debug)]
+pub(crate) struct MessageWriter<'a> {
+    out: &'a mut Vec<u8>,
+}
+
+/// Header offsets of QDCOUNT and ANCOUNT.
+const QDCOUNT_AT: usize = 4;
+const ANCOUNT_AT: usize = 6;
+
+impl<'a> MessageWriter<'a> {
+    /// Clears `out` and writes a header with empty sections. Recursion
+    /// desired is always set.
+    pub(crate) fn new(out: &'a mut Vec<u8>, id: u16, response: bool, rcode: u8) -> Self {
+        out.clear();
+        let mut flags: u16 = 0x0100; // RD
+        if response {
+            flags |= 0x8000;
         }
-        let id = buf.get_u16();
-        let flags = buf.get_u16();
-        let qdcount = buf.get_u16();
-        let ancount = buf.get_u16();
-        let _ns = buf.get_u16();
-        let _ar = buf.get_u16();
-        let header = DnsHeader {
-            id,
+        flags |= rcode as u16 & 0x000f;
+        let [id_hi, id_lo] = id.to_be_bytes();
+        let [flags_hi, flags_lo] = flags.to_be_bytes();
+        // QDCOUNT, ANCOUNT, NSCOUNT, ARCOUNT start at zero
+        out.put_slice(&[id_hi, id_lo, flags_hi, flags_lo, 0, 0, 0, 0, 0, 0, 0, 0]);
+        MessageWriter { out }
+    }
+
+    /// Appends a question.
+    ///
+    /// # Errors
+    /// `name` has a label over [`MAX_LABEL_LEN`] bytes or more than
+    /// [`MAX_LABELS`] labels. The buffer then holds a partial message.
+    pub(crate) fn question(&mut self, name: &str, qtype: RecordType) -> Result<(), PacketError> {
+        put_name(self.out, name)?;
+        let [type_hi, type_lo] = qtype.code().to_be_bytes();
+        self.out.put_slice(&[type_hi, type_lo, 0, 1]); // class IN
+        self.bump(QDCOUNT_AT);
+        Ok(())
+    }
+
+    /// Appends an answer record.
+    ///
+    /// # Errors
+    /// As for [`MessageWriter::question`].
+    pub(crate) fn answer(
+        &mut self,
+        name: &str,
+        ttl: u32,
+        data: RecordData,
+    ) -> Result<(), PacketError> {
+        put_name(self.out, name)?;
+        let [type_hi, type_lo] = data.record_type().code().to_be_bytes();
+        let [t0, t1, t2, t3] = ttl.to_be_bytes();
+        let rdlen = match data {
+            RecordData::V4(_) => 4,
+            RecordData::V6(_) => 16,
+        };
+        // type, class IN, TTL, RDLENGTH
+        self.out.put_slice(&[type_hi, type_lo, 0, 1, t0, t1, t2, t3, 0, rdlen]);
+        match data {
+            RecordData::V4(ip) => self.out.put_slice(&ip.octets()),
+            RecordData::V6(ip) => self.out.put_slice(&ip.octets()),
+        }
+        self.bump(ANCOUNT_AT);
+        Ok(())
+    }
+
+    fn bump(&mut self, at: usize) {
+        let count = u16::from_be_bytes([self.out[at], self.out[at + 1]]).wrapping_add(1);
+        self.out[at..at + 2].copy_from_slice(&count.to_be_bytes());
+    }
+}
+
+/// Appends `name` as uncompressed labels. Empty labels (leading, doubled or
+/// trailing dots) are skipped, so `"a..b."` goes out as `a.b`.
+fn put_name(out: &mut Vec<u8>, name: &str) -> Result<(), PacketError> {
+    out.reserve(name.len() + 2);
+    let mut depth = 0;
+    for label in name.as_bytes().split(|&b| b == b'.').filter(|l| !l.is_empty()) {
+        if label.len() > MAX_LABEL_LEN {
+            return Err(PacketError::BadLength { what: "dns label length", value: label.len() });
+        }
+        depth += 1;
+        if depth > MAX_LABELS {
+            return Err(PacketError::BadField { what: "dns name too deep" });
+        }
+        out.put_u8(label.len() as u8);
+        out.put_slice(label);
+    }
+    out.put_u8(0);
+    Ok(())
+}
+
+/// `start..end` of one decoded name inside [`WireMessage`]'s name buffer.
+type Span = (usize, usize);
+
+/// A decoded message held in buffers that survive from one decode to the
+/// next: once they have grown to fit the messages a caller sees, decoding
+/// allocates nothing. Names are borrowed back out of the message.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct WireMessage {
+    header: DnsHeader,
+    /// Every decoded name, back to back.
+    names: String,
+    /// The raw bytes of the name being decoded, before its UTF-8 check.
+    raw_name: Vec<u8>,
+    questions: Vec<(Span, RecordType)>,
+    answers: Vec<(Span, u32, RecordData)>,
+}
+
+impl WireMessage {
+    /// Decodes `data`, replacing whatever this message held. After an
+    /// error the message holds no meaningful content.
+    pub(crate) fn decode(&mut self, data: &[u8]) -> Result<(), PacketError> {
+        self.names.clear();
+        self.questions.clear();
+        self.answers.clear();
+        let Some((head, mut buf)) = data.split_first_chunk::<12>() else {
+            return Err(PacketError::Truncated { what: "dns header", needed: 12, got: data.len() });
+        };
+        let be16 = |at: usize| u16::from_be_bytes([head[at], head[at + 1]]);
+        let flags = be16(2);
+        self.header = DnsHeader {
+            id: be16(0),
             response: flags & 0x8000 != 0,
             rcode: (flags & 0x000f) as u8,
-            qdcount,
-            ancount,
+            qdcount: be16(QDCOUNT_AT),
+            ancount: be16(ANCOUNT_AT),
         };
-        let mut questions = Vec::with_capacity(qdcount as usize);
-        for _ in 0..qdcount {
-            let name = decode_name(&mut buf)?;
-            if buf.remaining() < 4 {
+        for _ in 0..self.header.qdcount {
+            let name = self.read_name(&mut buf)?;
+            let Some((fixed, rest)) = buf.split_first_chunk::<4>() else {
                 return Err(PacketError::Truncated {
                     what: "dns question",
                     needed: 4,
-                    got: buf.remaining(),
+                    got: buf.len(),
                 });
-            }
-            let code = buf.get_u16();
-            let _class = buf.get_u16();
+            };
+            buf = rest;
+            let code = u16::from_be_bytes([fixed[0], fixed[1]]);
             let qtype =
                 RecordType::from_code(code).ok_or(PacketError::BadField { what: "dns qtype" })?;
-            questions.push(DnsQuestion { name, qtype });
+            self.questions.push((name, qtype));
         }
-        let mut answers = Vec::with_capacity(ancount as usize);
-        for _ in 0..ancount {
-            let name = decode_name(&mut buf)?;
-            if buf.remaining() < 10 {
+        for _ in 0..self.header.ancount {
+            let name = self.read_name(&mut buf)?;
+            let Some((fixed, rest)) = buf.split_first_chunk::<10>() else {
                 return Err(PacketError::Truncated {
                     what: "dns answer",
                     needed: 10,
-                    got: buf.remaining(),
+                    got: buf.len(),
                 });
-            }
-            let code = buf.get_u16();
-            let _class = buf.get_u16();
-            let ttl = buf.get_u32();
-            let rdlen = buf.get_u16() as usize;
-            if buf.remaining() < rdlen {
+            };
+            buf = rest;
+            let code = u16::from_be_bytes([fixed[0], fixed[1]]);
+            let ttl = u32::from_be_bytes([fixed[4], fixed[5], fixed[6], fixed[7]]);
+            let rdlen = u16::from_be_bytes([fixed[8], fixed[9]]) as usize;
+            if buf.len() < rdlen {
                 return Err(PacketError::Truncated {
                     what: "dns rdata",
                     needed: rdlen,
-                    got: buf.remaining(),
+                    got: buf.len(),
                 });
             }
             let rtype = RecordType::from_code(code)
                 .ok_or(PacketError::BadField { what: "dns answer type" })?;
-            let data = match (rtype, rdlen) {
-                (RecordType::A, 4) => {
-                    let mut o = [0u8; 4];
-                    buf.copy_to_slice(&mut o);
-                    RecordData::V4(Ipv4Addr::from(o))
-                }
-                (RecordType::Aaaa, 16) => {
-                    let mut o = [0u8; 16];
-                    buf.copy_to_slice(&mut o);
-                    RecordData::V6(Ipv6Addr::from(o))
-                }
-                _ => return Err(PacketError::BadLength { what: "dns rdata length", value: rdlen }),
+            let (rdata, rest) = buf.split_at(rdlen);
+            buf = rest;
+            let data = match rtype {
+                RecordType::A => <[u8; 4]>::try_from(rdata).map(|o| RecordData::V4(o.into())),
+                RecordType::Aaaa => <[u8; 16]>::try_from(rdata).map(|o| RecordData::V6(o.into())),
+            }
+            .map_err(|_| PacketError::BadLength { what: "dns rdata length", value: rdlen })?;
+            self.answers.push((name, ttl, data));
+        }
+        Ok(())
+    }
+
+    /// Reads one uncompressed name off the front of `buf` into the name
+    /// buffer, labels joined by dots.
+    ///
+    /// Labels must be UTF-8. They are checked once per name, on the dotted
+    /// join: the separators are ASCII, so the join is valid exactly when
+    /// every label is. When a later label fails structurally, the labels
+    /// read before it are checked first, so an invalid label is reported
+    /// ahead of any failure that follows it on the wire.
+    fn read_name(&mut self, buf: &mut &[u8]) -> Result<Span, PacketError> {
+        const BAD_UTF8: PacketError = PacketError::BadField { what: "dns label utf8" };
+        self.raw_name.clear();
+        let mut depth = 0;
+        let failure = loop {
+            let Some((&len, rest)) = buf.split_first() else {
+                break PacketError::Truncated { what: "dns name", needed: 1, got: 0 };
             };
-            answers.push(DnsRecordWire { name, ttl, data });
+            *buf = rest;
+            if len == 0 {
+                let name = std::str::from_utf8(&self.raw_name).map_err(|_| BAD_UTF8)?;
+                let start = self.names.len();
+                self.names.push_str(name);
+                return Ok((start, self.names.len()));
+            }
+            if len & 0xc0 != 0 {
+                break PacketError::BadField { what: "dns compression pointer (unsupported)" };
+            }
+            let len = len as usize;
+            if buf.len() < len {
+                break PacketError::Truncated { what: "dns label", needed: len, got: buf.len() };
+            }
+            let (label, rest) = buf.split_at(len);
+            *buf = rest;
+            if depth > 0 {
+                self.raw_name.push(b'.');
+            }
+            self.raw_name.extend_from_slice(label);
+            depth += 1;
+            if depth > MAX_LABELS {
+                break PacketError::BadField { what: "dns name too deep" };
+            }
+        };
+        match std::str::from_utf8(&self.raw_name) {
+            Ok(_) => Err(failure),
+            Err(_) => Err(BAD_UTF8),
         }
-        Ok(DnsMessage { header, questions, answers })
     }
-}
 
-fn encode_name(v: &mut Vec<u8>, name: &str) {
-    for label in name.split('.').filter(|l| !l.is_empty()) {
-        debug_assert!(label.len() < 64, "label too long: {label}");
-        v.put_u8(label.len() as u8);
-        v.put_slice(label.as_bytes());
+    fn name(&self, (start, end): Span) -> &str {
+        &self.names[start..end]
     }
-    v.put_u8(0);
-}
 
-fn decode_name(buf: &mut &[u8]) -> Result<String, PacketError> {
-    let mut labels: Vec<String> = Vec::new();
-    loop {
-        if buf.remaining() < 1 {
-            return Err(PacketError::Truncated { what: "dns name", needed: 1, got: 0 });
-        }
-        let len = buf.get_u8();
-        if len == 0 {
-            break;
-        }
-        if len & 0xc0 != 0 {
-            return Err(PacketError::BadField { what: "dns compression pointer (unsupported)" });
-        }
-        if buf.remaining() < len as usize {
-            return Err(PacketError::Truncated {
-                what: "dns label",
-                needed: len as usize,
-                got: buf.remaining(),
-            });
-        }
-        let mut bytes = vec![0u8; len as usize];
-        buf.copy_to_slice(&mut bytes);
-        labels.push(
-            String::from_utf8(bytes)
-                .map_err(|_| PacketError::BadField { what: "dns label utf8" })?,
-        );
-        if labels.len() > 32 {
-            return Err(PacketError::BadField { what: "dns name too deep" });
+    /// Header fields as they were on the wire.
+    pub(crate) fn header(&self) -> DnsHeader {
+        self.header
+    }
+
+    /// `(name, qtype)` of each question, in wire order.
+    pub(crate) fn questions(&self) -> impl ExactSizeIterator<Item = (&str, RecordType)> + '_ {
+        self.questions.iter().map(|&(span, qtype)| (self.name(span), qtype))
+    }
+
+    /// `(owner name, ttl, data)` of each answer, in wire order.
+    pub(crate) fn answers(&self) -> impl ExactSizeIterator<Item = (&str, u32, RecordData)> + '_ {
+        self.answers.iter().map(|&(span, ttl, data)| (self.name(span), ttl, data))
+    }
+
+    /// The owned [`DnsMessage`] form.
+    pub(crate) fn to_message(&self) -> DnsMessage {
+        DnsMessage {
+            header: self.header,
+            questions: self
+                .questions()
+                .map(|(name, qtype)| DnsQuestion { name: name.to_string(), qtype })
+                .collect(),
+            answers: self
+                .answers()
+                .map(|(name, ttl, data)| DnsRecordWire { name: name.to_string(), ttl, data })
+                .collect(),
         }
     }
-    Ok(labels.join("."))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use std::net::{Ipv4Addr, Ipv6Addr};
 
     #[test]
     fn query_roundtrip() {
         let q = DnsMessage::query(0x1234, "www.site7.example", RecordType::Aaaa);
-        let d = DnsMessage::decode(&q.to_vec()).unwrap();
+        let d = DnsMessage::decode(&q.to_vec().unwrap()).unwrap();
         assert_eq!(q, d);
         assert!(!d.header.response);
         assert_eq!(d.questions[0].name, "www.site7.example");
@@ -269,7 +411,7 @@ mod tests {
         let q = DnsMessage::query(7, "s.example", RecordType::A);
         let recs = vec![Record::a("s.example", Ipv4Addr::new(192, 0, 2, 9), 120)];
         let r = DnsMessage::response(&q, &recs, false);
-        let d = DnsMessage::decode(&r.to_vec()).unwrap();
+        let d = DnsMessage::decode(&r.to_vec().unwrap()).unwrap();
         assert!(d.header.response);
         assert_eq!(d.header.id, 7);
         assert_eq!(d.header.rcode, 0);
@@ -282,7 +424,8 @@ mod tests {
     fn aaaa_answer_roundtrip() {
         let q = DnsMessage::query(8, "s.example", RecordType::Aaaa);
         let recs = vec![Record::aaaa("s.example", "2001:db8::42".parse().unwrap(), 60)];
-        let d = DnsMessage::decode(&DnsMessage::response(&q, &recs, false).to_vec()).unwrap();
+        let d =
+            DnsMessage::decode(&DnsMessage::response(&q, &recs, false).to_vec().unwrap()).unwrap();
         assert_eq!(d.answers[0].data, RecordData::V6("2001:db8::42".parse().unwrap()));
     }
 
@@ -290,7 +433,7 @@ mod tests {
     fn nxdomain_response() {
         let q = DnsMessage::query(9, "gone.example", RecordType::A);
         let r = DnsMessage::response(&q, &[], true);
-        let d = DnsMessage::decode(&r.to_vec()).unwrap();
+        let d = DnsMessage::decode(&r.to_vec().unwrap()).unwrap();
         assert_eq!(d.header.rcode, RCODE_NXDOMAIN);
         assert!(d.answers.is_empty());
     }
@@ -298,14 +441,15 @@ mod tests {
     #[test]
     fn nodata_response_has_rcode_zero() {
         let q = DnsMessage::query(9, "v4only.example", RecordType::Aaaa);
-        let d = DnsMessage::decode(&DnsMessage::response(&q, &[], false).to_vec()).unwrap();
+        let d =
+            DnsMessage::decode(&DnsMessage::response(&q, &[], false).to_vec().unwrap()).unwrap();
         assert_eq!(d.header.rcode, 0);
         assert!(d.answers.is_empty());
     }
 
     #[test]
     fn truncated_rejected() {
-        let q = DnsMessage::query(1, "x.example", RecordType::A).to_vec();
+        let q = DnsMessage::query(1, "x.example", RecordType::A).to_vec().unwrap();
         for cut in [0, 5, 11, q.len() - 1] {
             assert!(DnsMessage::decode(&q[..cut]).is_err(), "cut at {cut}");
         }
@@ -313,7 +457,7 @@ mod tests {
 
     #[test]
     fn compression_pointer_rejected() {
-        let mut v = DnsMessage::query(1, "x.example", RecordType::A).to_vec();
+        let mut v = DnsMessage::query(1, "x.example", RecordType::A).to_vec().unwrap();
         v[12] = 0xc0; // pointer marker where the first label length was
         assert_eq!(
             DnsMessage::decode(&v).unwrap_err(),
@@ -323,7 +467,7 @@ mod tests {
 
     #[test]
     fn unknown_qtype_rejected() {
-        let mut v = DnsMessage::query(1, "x.example", RecordType::A).to_vec();
+        let mut v = DnsMessage::query(1, "x.example", RecordType::A).to_vec().unwrap();
         let n = v.len();
         v[n - 4] = 0;
         v[n - 3] = 15; // MX
@@ -336,11 +480,151 @@ mod tests {
     #[test]
     fn empty_name_roundtrips_as_root() {
         let q = DnsMessage::query(2, "", RecordType::A);
-        let d = DnsMessage::decode(&q.to_vec()).unwrap();
+        let d = DnsMessage::decode(&q.to_vec().unwrap()).unwrap();
         assert_eq!(d.questions[0].name, "");
     }
 
+    #[test]
+    fn invalid_label_is_reported_before_later_failures() {
+        let header = [0u8, 1, 1, 0, 0, 1, 0, 0, 0, 0, 0, 0];
+        let with_name = |labels: &[&[u8]], tail: &[u8]| {
+            let mut v = header.to_vec();
+            for l in labels {
+                v.push(l.len() as u8);
+                v.extend_from_slice(l);
+            }
+            v.extend_from_slice(tail);
+            v
+        };
+        let utf8 = Err(PacketError::BadField { what: "dns label utf8" });
+        let bad: &[u8] = &[0xc3];
+        // an invalid label, then a truncated one
+        assert_eq!(DnsMessage::decode(&with_name(&[bad], &[5, b'a'])), utf8);
+        // an invalid label, then a compression pointer
+        assert_eq!(DnsMessage::decode(&with_name(&[b"ok", bad], &[0xc0, 12])), utf8);
+        // an invalid label among 33
+        let mut deep: Vec<&[u8]> = vec![b"a"; MAX_LABELS + 1];
+        deep[MAX_LABELS] = bad;
+        assert_eq!(DnsMessage::decode(&with_name(&deep, &[0])), utf8);
+        deep[MAX_LABELS] = b"a";
+        assert_eq!(
+            DnsMessage::decode(&with_name(&deep, &[0])),
+            Err(PacketError::BadField { what: "dns name too deep" })
+        );
+        // valid labels, then a truncated one: the structural failure
+        assert_eq!(
+            DnsMessage::decode(&with_name(&[b"ok"], &[5, b'a'])),
+            Err(PacketError::Truncated { what: "dns label", needed: 5, got: 1 })
+        );
+        // a split multi-byte character is invalid even though its bytes
+        // would join into one
+        assert_eq!(DnsMessage::decode(&with_name(&[&[0xc3], &[0xa9]], &[0, 0, 1, 0, 1])), utf8);
+        assert!(DnsMessage::decode(&with_name(&[&[0xc3, 0xa9]], &[0, 0, 1, 0, 1])).is_ok());
+    }
+
+    #[test]
+    fn writer_refuses_what_the_decoder_rejects() {
+        let mut out = Vec::new();
+        let long = format!("{}.example", "x".repeat(MAX_LABEL_LEN + 1));
+        let mut w = MessageWriter::new(&mut out, 1, false, 0);
+        assert_eq!(
+            w.question(&long, RecordType::A),
+            Err(PacketError::BadLength { what: "dns label length", value: 64 })
+        );
+        let deep = vec!["a"; MAX_LABELS + 1].join(".");
+        let mut w = MessageWriter::new(&mut out, 1, false, 0);
+        assert_eq!(
+            w.question(&deep, RecordType::A),
+            Err(PacketError::BadField { what: "dns name too deep" })
+        );
+        // the limits themselves encode and decode
+        let max = format!("{}.{}", "x".repeat(MAX_LABEL_LEN), vec!["a"; MAX_LABELS - 1].join("."));
+        let d =
+            DnsMessage::decode(&DnsMessage::query(1, max.clone(), RecordType::A).to_vec().unwrap())
+                .unwrap();
+        assert_eq!(d.questions[0].name, max);
+        // empty labels are skipped, not counted
+        let dotted = format!("{}.", vec!["a"; MAX_LABELS].join(".."));
+        assert!(DnsMessage::query(1, dotted, RecordType::A).to_vec().is_ok());
+    }
+
+    #[test]
+    fn writer_counts_sections_and_reuses_its_buffer() {
+        let mut out = vec![0xee; 100];
+        let mut w = MessageWriter::new(&mut out, 0xbeef, true, RCODE_NXDOMAIN);
+        w.question("q.example", RecordType::Aaaa).unwrap();
+        w.answer("q.example", 30, RecordData::V6("2001:db8::7".parse().unwrap())).unwrap();
+        let mut msg = WireMessage::default();
+        msg.decode(&out).unwrap();
+        assert_eq!(
+            msg.header(),
+            DnsHeader { id: 0xbeef, response: true, rcode: RCODE_NXDOMAIN, qdcount: 1, ancount: 1 }
+        );
+        assert_eq!(msg.questions().collect::<Vec<_>>(), [("q.example", RecordType::Aaaa)]);
+        assert_eq!(
+            msg.answers().collect::<Vec<_>>(),
+            [("q.example", 30, RecordData::V6("2001:db8::7".parse().unwrap()))]
+        );
+    }
+
+    /// Byte strings that sometimes decode: valid messages, mutated ones,
+    /// truncated ones, padded ones, and plain noise.
+    fn wire_bytes() -> impl Strategy<Value = Vec<u8>> {
+        let message = (
+            proptest::collection::vec("[a-z0-9-]{1,12}", 0..4),
+            any::<bool>(),
+            0usize..3,
+            any::<u32>(),
+            any::<u16>(),
+            any::<u8>(),
+            0u8..4,
+        )
+            .prop_map(|(labels, aaaa, n, ttl, at, xor, mode)| {
+                let name = labels.join(".");
+                let qtype = if aaaa { RecordType::Aaaa } else { RecordType::A };
+                let q = DnsMessage::query(at, name.clone(), qtype);
+                let recs: Vec<Record> = (0..n)
+                    .map(|i| {
+                        let x = ttl.rotate_left(i as u32);
+                        if aaaa {
+                            Record::aaaa(name.clone(), Ipv6Addr::from(u128::from(x) << 64), ttl)
+                        } else {
+                            Record::a(name.clone(), Ipv4Addr::from(x), ttl)
+                        }
+                    })
+                    .collect();
+                let mut v =
+                    DnsMessage::response(&q, &recs, n == 0 && xor & 1 == 1).to_vec().unwrap();
+                match mode {
+                    0 => {}
+                    1 => {
+                        let i = at as usize % v.len();
+                        v[i] ^= xor;
+                    }
+                    2 => v.truncate(at as usize % (v.len() + 1)),
+                    _ => v.push(xor),
+                }
+                v
+            });
+        prop_oneof![message, proptest::collection::vec(any::<u8>(), 0..48)]
+    }
+
     proptest! {
+        /// One decoder reused across a run of messages agrees with a fresh
+        /// owned decode on every one of them: same verdict, same error,
+        /// same contents — nothing leaks from one message into the next.
+        #[test]
+        fn reused_decoder_matches_owned_decode(
+            inputs in proptest::collection::vec(wire_bytes(), 1..8),
+        ) {
+            let mut reused = WireMessage::default();
+            for bytes in &inputs {
+                let owned = DnsMessage::decode(bytes);
+                let got = reused.decode(bytes).map(|()| reused.to_message());
+                prop_assert_eq!(got, owned);
+            }
+        }
+
         #[test]
         fn roundtrip_arbitrary_names(
             labels in proptest::collection::vec("[a-z0-9-]{1,20}", 1..5),
@@ -348,7 +632,7 @@ mod tests {
         ) {
             let name = labels.join(".");
             let q = DnsMessage::query(id, name.clone(), RecordType::Aaaa);
-            let d = DnsMessage::decode(&q.to_vec()).unwrap();
+            let d = DnsMessage::decode(&q.to_vec().unwrap()).unwrap();
             prop_assert_eq!(d.questions[0].name.clone(), name);
             prop_assert_eq!(d.header.id, id);
         }
@@ -362,7 +646,7 @@ mod tests {
             let recs: Vec<Record> = (0..n)
                 .map(|i| Record::a("multi.example", Ipv4Addr::new(10, 0, (i / 256) as u8, (i % 256) as u8), ttl))
                 .collect();
-            let d = DnsMessage::decode(&DnsMessage::response(&q, &recs, false).to_vec()).unwrap();
+            let d = DnsMessage::decode(&DnsMessage::response(&q, &recs, false).to_vec().unwrap()).unwrap();
             prop_assert_eq!(d.answers.len(), n);
             for (a, r) in d.answers.iter().zip(&recs) {
                 prop_assert_eq!(a.data, r.data);

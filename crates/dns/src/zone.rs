@@ -10,7 +10,7 @@
 //! byte arena plus one entry array instead of a map of heap strings.
 
 use crate::names::{NameId, NameTable};
-use crate::records::{Record, RecordData, RecordType};
+use crate::records::{Answer, Record, RecordData, RecordType};
 use serde::{DeError, Deserialize, Serialize, Value};
 use std::net::{Ipv4Addr, Ipv6Addr};
 
@@ -25,6 +25,23 @@ pub struct ZoneEntry {
     pub v6_from_week: u32,
     /// Record TTL in seconds.
     pub ttl: u32,
+}
+
+impl ZoneEntry {
+    /// The authority's answer to `qtype` as of campaign `week`: the A
+    /// record always, the AAAA record from its publication week on, and
+    /// NODATA otherwise.
+    pub(crate) fn answer(&self, qtype: RecordType, week: u32) -> Answer {
+        match qtype {
+            RecordType::A => Answer::record(RecordData::V4(self.v4), self.ttl),
+            RecordType::Aaaa => match self.v6 {
+                Some(v6) if week >= self.v6_from_week => {
+                    Answer::record(RecordData::V6(v6), self.ttl)
+                }
+                _ => Answer::NODATA,
+            },
+        }
+    }
 }
 
 /// The simulated global DNS: interned name → entry.
@@ -110,31 +127,18 @@ impl ZoneDb {
         self.entries.get(id.index())?.as_ref()
     }
 
-    /// Authoritative answer for `(name, qtype)` as of campaign `week`.
+    /// Authoritative answer for `(name, qtype)` as of campaign `week`, as
+    /// owned records.
     /// Returns an empty vec for NODATA (name exists, no such record) and
     /// `None` for NXDOMAIN.
     pub fn query(&self, name: &str, qtype: RecordType, week: u32) -> Option<Vec<Record>> {
-        let e = self.entry(name)?;
-        let mut answers = Vec::new();
-        match qtype {
-            RecordType::A => answers.push(Record {
-                name: name.to_string(),
-                data: RecordData::V4(e.v4),
-                ttl: e.ttl,
-            }),
-            RecordType::Aaaa => {
-                if let Some(v6) = e.v6 {
-                    if week >= e.v6_from_week {
-                        answers.push(Record {
-                            name: name.to_string(),
-                            data: RecordData::V6(v6),
-                            ttl: e.ttl,
-                        });
-                    }
-                }
-            }
-        }
-        Some(answers)
+        let answer = self.entry(name)?.answer(qtype, week);
+        Some(
+            answer
+                .iter()
+                .map(|r| Record { name: name.to_string(), data: r.data, ttl: r.ttl })
+                .collect(),
+        )
     }
 
     /// Whether `name` has both A and AAAA as of `week` — the study's

@@ -3,11 +3,13 @@
 //! Every decision derives its own RNG stream from
 //! `(seed, "fault:<kind>:<entity...>")`, so outcomes depend only on the
 //! plan, the seed, and the entity being asked about — never on thread
-//! scheduling or on how many other questions were asked first.
+//! scheduling or on how many other questions were asked first. The
+//! per-exchange and per-edge labels are hashed piecewise with
+//! [`RngLabel`], so asking a question allocates nothing.
 
 use crate::plan::{DnsFaultKind, FaultPlan, HttpFaultKind};
 use crate::record_injection;
-use ipv6web_stats::{coin, derive_rng};
+use ipv6web_stats::{coin, derive_rng, RngLabel};
 use ipv6web_topology::{EdgeId, Family, Topology};
 
 /// How injected link faults impact one probe's path for one family.
@@ -64,8 +66,23 @@ impl FaultInjector {
             if week < f.from_week || week >= f.from_week + f.weeks {
                 continue;
             }
-            let label = format!("fault:dns:{i}:{vantage}:{site}:{qtype}:{week}:{salt}:{attempt}");
-            if coin(&mut derive_rng(self.seed, &label), f.prob) {
+            // "fault:dns:{i}:{vantage}:{site}:{qtype}:{week}:{salt}:{attempt}"
+            let label = RngLabel::new()
+                .push_str("fault:dns:")
+                .push_u64(i as u64)
+                .push_str(":")
+                .push_str(vantage)
+                .push_str(":")
+                .push_u32(site)
+                .push_str(":")
+                .push_str(qtype)
+                .push_str(":")
+                .push_u32(week)
+                .push_str(":")
+                .push_u32(salt)
+                .push_str(":")
+                .push_u32(attempt);
+            if coin(&mut label.rng(self.seed), f.prob) {
                 record_injection(match f.kind {
                     DnsFaultKind::ServFail => "faults.injected.dns_servfail",
                     DnsFaultKind::Timeout => "faults.injected.dns_timeout",
@@ -97,10 +114,25 @@ impl FaultInjector {
             if week < f.from_week || week >= f.from_week + f.weeks {
                 continue;
             }
-            let label = format!(
-                "fault:http:{i}:{vantage}:{site}:{family:?}:{phase}:{week}:{salt}:{attempt}"
-            );
-            if coin(&mut derive_rng(self.seed, &label), f.prob) {
+            // "fault:http:{i}:{vantage}:{site}:{family:?}:{phase}:{week}:{salt}:{attempt}"
+            let label = RngLabel::new()
+                .push_str("fault:http:")
+                .push_u64(i as u64)
+                .push_str(":")
+                .push_str(vantage)
+                .push_str(":")
+                .push_u32(site)
+                .push_str(":")
+                .push_str(family_tag(family))
+                .push_str(":")
+                .push_str(phase)
+                .push_str(":")
+                .push_u32(week)
+                .push_str(":")
+                .push_u32(salt)
+                .push_str(":")
+                .push_u32(attempt);
+            if coin(&mut label.rng(self.seed), f.prob) {
                 record_injection(match f.kind {
                     HttpFaultKind::Stall => "faults.injected.http_stall",
                     HttpFaultKind::Reset => "faults.injected.http_reset",
@@ -123,9 +155,10 @@ impl FaultInjector {
             if f.family != family || week < f.from_week || week >= f.from_week + f.weeks {
                 continue;
             }
+            // "fault:linkflap:{i}:{edge}"
+            let spec = RngLabel::new().push_str("fault:linkflap:").push_u64(i as u64).push_str(":");
             for e in edges {
-                let label = format!("fault:linkflap:{i}:{}", e.0);
-                if coin(&mut derive_rng(self.seed, &label), f.edge_frac) {
+                if coin(&mut spec.push_u32(e.0).rng(self.seed), f.edge_frac) {
                     record_injection("faults.injected.link_down");
                     return LinkImpact { down: true, extra_loss: 0.0 };
                 }
@@ -137,9 +170,11 @@ impl FaultInjector {
             if f.family != family || week < f.from_week || week >= f.from_week + f.weeks {
                 continue;
             }
+            // "fault:lossburst:{i}:{edge}"
+            let spec =
+                RngLabel::new().push_str("fault:lossburst:").push_u64(i as u64).push_str(":");
             for e in edges {
-                let label = format!("fault:lossburst:{i}:{}", e.0);
-                if coin(&mut derive_rng(self.seed, &label), f.edge_frac) {
+                if coin(&mut spec.push_u32(e.0).rng(self.seed), f.edge_frac) {
                     keep *= 1.0 - f.extra_loss;
                     hit = true;
                 }
@@ -171,7 +206,13 @@ impl FaultInjector {
             week >= o.from_week
                 && week < o.from_week + o.weeks
                 && coin(
-                    &mut derive_rng(self.seed, &format!("fault:xlat:{i}:{gateway}")),
+                    // "fault:xlat:{i}:{gateway}"
+                    &mut RngLabel::new()
+                        .push_str("fault:xlat:")
+                        .push_u64(i as u64)
+                        .push_str(":")
+                        .push_u64(gateway as u64)
+                        .rng(self.seed),
                     o.gateway_frac,
                 )
         })
@@ -214,6 +255,14 @@ impl FaultInjector {
         }
         out.sort_by_key(|(week, _, _)| *week);
         out
+    }
+}
+
+/// `format!("{family:?}")` without formatting.
+fn family_tag(family: Family) -> &'static str {
+    match family {
+        Family::V4 => "V4",
+        Family::V6 => "V6",
     }
 }
 
@@ -295,6 +344,56 @@ mod tests {
         let comcast: Vec<Option<DnsFaultKind>> =
             (0..40).map(|site| inj.dns_fault("Comcast", site, "A", 1, 0, 0)).collect();
         assert_ne!(penn_alone, comcast, "distinct vantages drew identical streams");
+    }
+
+    #[test]
+    fn built_labels_draw_the_formatted_labels_streams() {
+        // Each decision is the coin its formatted label would flip; even
+        // odds make every mismatch in the label visible within a few keys.
+        let seed = 17;
+        let mut p = plan_with_dns(0.5);
+        p.http_faults.push(HttpDisruption {
+            kind: HttpFaultKind::Reset,
+            prob: 0.5,
+            stall_ms: 0.0,
+            from_week: 0,
+            weeks: 10,
+        });
+        p.link_flaps.push(LinkFlap { family: Family::V6, from_week: 0, weeks: 10, edge_frac: 0.5 });
+        p.loss_bursts.push(LossBurst {
+            family: Family::V4,
+            from_week: 0,
+            weeks: 10,
+            edge_frac: 0.5,
+            extra_loss: 0.1,
+        });
+        p.xlat_outages.push(XlatOutage { gateway_frac: 0.5, from_week: 0, weeks: 10 });
+        let inj = FaultInjector::new(p, seed);
+        let flip = |label: String| coin(&mut derive_rng(seed, &label), 0.5);
+        for site in [0u32, 1, 9, 4_000_000, u32::MAX] {
+            for attempt in [0u32, 1, 2, 3] {
+                let want = flip(format!("fault:dns:0:Tsinghua U.:{site}:AAAA:4:3:{attempt}"));
+                let got = inj.dns_fault("Tsinghua U.", site, "AAAA", 4, 3, attempt);
+                assert_eq!(got.is_some(), want, "dns site {site} attempt {attempt}");
+                for family in [Family::V4, Family::V6] {
+                    let want =
+                        flip(format!("fault:http:0:Penn:{site}:{family:?}:dl:4:0:{attempt}"));
+                    let got = inj.http_fault("Penn", site, family, "dl", 4, 0, attempt);
+                    assert_eq!(got.is_some(), want, "http site {site} attempt {attempt}");
+                }
+            }
+        }
+        for gateway in [0usize, 1, 7, 1000] {
+            let want = flip(format!("fault:xlat:0:{gateway}"));
+            assert_eq!(inj.xlat_out(gateway, 4), want, "gateway {gateway}");
+        }
+        for e in [0u32, 3, 12_345, u32::MAX] {
+            let want = flip(format!("fault:linkflap:0:{e}"));
+            assert_eq!(inj.link_impact(4, Family::V6, &[EdgeId(e)]).down, want, "edge {e}");
+            let want = flip(format!("fault:lossburst:0:{e}"));
+            let got = inj.link_impact(4, Family::V4, &[EdgeId(e)]).extra_loss > 0.0;
+            assert_eq!(got, want, "edge {e}");
+        }
     }
 
     #[test]

@@ -10,22 +10,35 @@
 //! of panicking. With `faults: None` the pipeline is bit-identical to the
 //! fault-free implementation: fault decisions live on separate RNG label
 //! streams and no extra draw ever touches the probe's own stream.
+//!
+//! A fault-free probe allocates nothing once warm: its RNG label is hashed
+//! piecewise ([`RngLabel`]), the resolver answers by the site's interned
+//! name from a cache with no heap data, and the HTTP headers are written
+//! into, and parsed from, one header buffer per thread.
 
 use crate::db::PerfSample;
 use crate::disturbance::Disturbances;
 use ipv6web_bgp::{BgpTable, RouteRef};
-use ipv6web_dns::{DnsError, Record, RecordData, RecordType, Resolver, ZoneDb};
+use ipv6web_dns::{Answer, DnsError, RecordData, RecordType, Resolver, ZoneDb};
 use ipv6web_faults::{DnsFaultKind, FaultClock, FaultInjector, HttpFaultKind, RetryPolicy};
 use ipv6web_netsim::{download_time, translated_metrics, DataPlane, PathMetrics, TcpConfig};
 use ipv6web_stats::ci::SamplingDecision;
-use ipv6web_stats::{derive_rng, lognormal, mean_ci, RelativeCiRule, StudentT, Welford};
+use ipv6web_stats::{lognormal, mean_ci, RelativeCiRule, RngLabel, StudentT, Welford};
 use ipv6web_topology::{Family, Topology};
 use ipv6web_web::{
-    build_request, build_response_header, pages_identical, parse_response_len, truncate_response,
-    Site, SiteId,
+    pages_identical, parse_response_len, torn_len, write_request, write_response_header, Site,
+    SiteId,
 };
 use ipv6web_xlat::{ClientStack, XlatWiring};
 use rand::Rng;
+use std::cell::RefCell;
+
+thread_local! {
+    /// This thread's HTTP header bytes: every probe writes its request and
+    /// then each family's response header here in turn, so the exchange
+    /// allocates nothing once the buffer has grown to fit.
+    static HEADERS: RefCell<Vec<u8>> = const { RefCell::new(Vec::new()) };
+}
 
 /// Per-campaign fault wiring, shared read-only by every probe of one
 /// vantage point.
@@ -171,10 +184,16 @@ fn probe_site_inner(
 ) -> ProbeOutcome {
     ipv6web_obs::inc("monitor.probes");
     let site = &ctx.sites[site_id.index()];
-    let mut rng = derive_rng(
-        ctx.seed,
-        &format!("{}:probe:{}:{}:{}", ctx.vantage_name, week, salt, site_id.0),
-    );
+    // the stream of the label "{vantage}:probe:{week}:{salt}:{site}"
+    let mut rng = RngLabel::new()
+        .push_str(ctx.vantage_name)
+        .push_str(":probe:")
+        .push_u32(week)
+        .push_str(":")
+        .push_u32(salt)
+        .push_str(":")
+        .push_u32(site_id.0)
+        .rng(ctx.seed);
     let now_s = week as u64 * 604_800 + rng.gen_range(0..600_000);
 
     // --- phase 1: DNS ------------------------------------------------------
@@ -326,58 +345,64 @@ fn probe_site_inner(
         }
     }
 
-    // The HTTP exchange, once per family. Only `Content-Length` feeds the
-    // identity rule, so the simulated server sends headers without
-    // materializing the (deterministic) body — byte-identical decisions at
-    // a fraction of the cost.
-    let req = build_request(ctx.zone.name_of(site.name));
-    debug_assert!(req.starts_with(b"GET / HTTP/1.1"));
-    let fetch = |family: Family, fs: &mut Option<FaultSession<'_>>| -> Result<Vec<u8>, ()> {
-        let resp = build_response_header(site.page_bytes(family) as usize);
-        let Some(s) = fs.as_mut() else { return Ok(resp) };
-        let mut attempt = 0u32;
-        loop {
-            match s.faults.injector.http_fault(
-                ctx.vantage_name,
-                site_id.0,
-                family,
-                "hdr",
-                week,
-                salt,
-                attempt,
-            ) {
-                // a stall delays an untimed exchange: harmless here
-                None | Some((HttpFaultKind::Stall, _)) => {
-                    if attempt > 0 {
-                        ipv6web_obs::inc("faults.probe.recovered");
+    // The HTTP exchange, once per family, through this thread's header
+    // buffer. Only `Content-Length` feeds the identity rule, so the
+    // simulated server sends headers without materializing the
+    // (deterministic) body — byte-identical decisions at a fraction of the
+    // cost. Each response is parsed as it arrives (`None`: unparseable);
+    // both families are fetched before either length is judged, so a
+    // timeout in either one outranks a malformed response.
+    let fetched = HEADERS.with_borrow_mut(|wire| {
+        wire.clear();
+        write_request(wire, ctx.zone.name_of(site.name));
+        debug_assert!(wire.starts_with(b"GET / HTTP/1.1"));
+        let content_length = |bytes: &[u8]| parse_response_len(bytes).map(|(_, len)| len);
+        let mut fetch = |family: Family| -> Result<Option<usize>, Family> {
+            wire.clear();
+            write_response_header(wire, site.page_bytes(family) as usize);
+            let Some(s) = fs.as_mut() else { return Ok(content_length(wire)) };
+            let mut attempt = 0u32;
+            loop {
+                match s.faults.injector.http_fault(
+                    ctx.vantage_name,
+                    site_id.0,
+                    family,
+                    "hdr",
+                    week,
+                    salt,
+                    attempt,
+                ) {
+                    // a stall delays an untimed exchange: harmless here
+                    None | Some((HttpFaultKind::Stall, _)) => {
+                        if attempt > 0 {
+                            ipv6web_obs::inc("faults.probe.recovered");
+                        }
+                        return Ok(content_length(wire));
                     }
-                    return Ok(resp);
-                }
-                // torn mid-header: delivered, but unparseable
-                Some((HttpFaultKind::Truncate, _)) => return Ok(truncate_response(&resp)),
-                Some((HttpFaultKind::Reset, _)) => {
-                    let cost = s.faults.retry.timeout_ms;
-                    if !s.try_again(attempt, cost) {
-                        return Err(());
+                    // torn mid-header: delivered, but unparseable
+                    Some((HttpFaultKind::Truncate, _)) => {
+                        return Ok(content_length(&wire[..torn_len(wire)]))
                     }
-                    attempt += 1;
+                    Some((HttpFaultKind::Reset, _)) => {
+                        let cost = s.faults.retry.timeout_ms;
+                        if !s.try_again(attempt, cost) {
+                            return Err(family);
+                        }
+                        attempt += 1;
+                    }
                 }
             }
+        };
+        Ok((fetch(Family::V4)?, fetch(Family::V6)?))
+    });
+    let (len4, len6) = match fetched {
+        Ok(lens) => lens,
+        Err(family) => {
+            ipv6web_obs::inc("monitor.outcome.timed_out");
+            return ProbeOutcome::TimedOut(family);
         }
     };
-    let Ok(resp4) = fetch(Family::V4, fs) else {
-        ipv6web_obs::inc("monitor.outcome.timed_out");
-        return ProbeOutcome::TimedOut(Family::V4);
-    };
-    let Ok(resp6) = fetch(Family::V6, fs) else {
-        ipv6web_obs::inc("monitor.outcome.timed_out");
-        return ProbeOutcome::TimedOut(Family::V6);
-    };
-    let Some((_, len4)) = parse_response_len(&resp4) else {
-        ipv6web_obs::inc("monitor.outcome.malformed");
-        return ProbeOutcome::Malformed;
-    };
-    let Some((_, len6)) = parse_response_len(&resp6) else {
+    let (Some(len4), Some(len6)) = (len4, len6) else {
         ipv6web_obs::inc("monitor.outcome.malformed");
         return ProbeOutcome::Malformed;
     };
@@ -617,10 +642,10 @@ fn resolve_through_faults(
     week: u32,
     salt: u32,
     now_s: u64,
-) -> Result<Option<Vec<Record>>, ()> {
-    let name = ctx.zone.name_of(ctx.sites[site_id.index()].name);
+) -> Result<Option<Answer>, ()> {
+    let name = ctx.sites[site_id.index()].name;
     let Some(s) = fs.as_mut() else {
-        return Ok(resolver.resolve(ctx.zone, name, qtype, week, now_s));
+        return Ok(resolver.resolve_id(ctx.zone, name, qtype, week, now_s));
     };
     let qtag = match qtype {
         RecordType::A => "A",
@@ -630,8 +655,14 @@ fn resolve_through_faults(
     loop {
         let fault =
             s.faults.injector.dns_fault(ctx.vantage_name, site_id.0, qtag, week, salt, attempt);
-        match resolver.resolve_faulted(ctx.zone, name, qtype, week, now_s, fault.map(dns_error_of))
-        {
+        match resolver.resolve_id_faulted(
+            ctx.zone,
+            name,
+            qtype,
+            week,
+            now_s,
+            fault.map(dns_error_of),
+        ) {
             Ok(answer) => {
                 if attempt > 0 {
                     ipv6web_obs::inc("faults.probe.recovered");

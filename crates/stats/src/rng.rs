@@ -14,20 +14,95 @@ pub type StudyRng = ChaCha8Rng;
 /// Derives an independent RNG stream from `(seed, label)`.
 ///
 /// Uses an FNV-1a hash of the label mixed into the seed material so distinct
-/// labels give statistically independent streams.
+/// labels give statistically independent streams. A label assembled from
+/// parts at a hot call site should go through [`RngLabel`] instead, which
+/// derives the same stream without formatting the label into a `String`.
 pub fn derive_rng(seed: u64, label: &str) -> StudyRng {
-    ipv6web_obs::inc("stats.rng_derivations");
-    let mut h: u64 = 0xcbf29ce484222325;
-    for b in label.as_bytes() {
-        h ^= *b as u64;
-        h = h.wrapping_mul(0x100000001b3);
+    RngLabel::new().push_str(label).rng(seed)
+}
+
+const FNV_OFFSET: u64 = 0xcbf29ce484222325;
+const FNV_PRIME: u64 = 0x100000001b3;
+
+/// An RNG label hashed as it is built — the allocation-free form of
+/// `derive_rng(seed, &format!(..))`.
+///
+/// FNV-1a folds the label one byte at a time, so pushing a label's pieces
+/// in order yields the hash of the whole formatted string, and
+/// [`RngLabel::rng`] the very stream [`derive_rng`] would give for it.
+///
+/// ```
+/// use ipv6web_stats::{derive_rng, RngLabel};
+/// use rand::RngCore;
+///
+/// let built = RngLabel::new().push_str("Penn:probe:").push_u32(7).push_str(":").push_u32(0);
+/// assert_eq!(built.rng(42).next_u64(), derive_rng(42, "Penn:probe:7:0").next_u64());
+/// ```
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RngLabel {
+    hash: u64,
+}
+
+impl Default for RngLabel {
+    fn default() -> Self {
+        Self::new()
     }
-    let mut key = [0u8; 32];
-    key[..8].copy_from_slice(&seed.to_le_bytes());
-    key[8..16].copy_from_slice(&h.to_le_bytes());
-    key[16..24].copy_from_slice(&seed.rotate_left(32).to_le_bytes());
-    key[24..32].copy_from_slice(&h.rotate_left(17).to_le_bytes());
-    ChaCha8Rng::from_seed(key)
+}
+
+impl RngLabel {
+    /// The empty label.
+    pub const fn new() -> Self {
+        RngLabel { hash: FNV_OFFSET }
+    }
+
+    /// Appends `s`.
+    #[inline]
+    pub fn push_str(self, s: &str) -> Self {
+        self.push_bytes(s.as_bytes())
+    }
+
+    /// Appends `n` in decimal, exactly as `format!("{n}")` writes it.
+    #[inline]
+    pub fn push_u32(self, n: u32) -> Self {
+        self.push_u64(u64::from(n))
+    }
+
+    /// Appends `n` in decimal, exactly as `format!("{n}")` writes it.
+    #[inline]
+    pub fn push_u64(self, mut n: u64) -> Self {
+        let mut digits = [0u8; 20];
+        let mut start = digits.len();
+        loop {
+            start -= 1;
+            digits[start] = b'0' + (n % 10) as u8;
+            n /= 10;
+            if n == 0 {
+                break;
+            }
+        }
+        self.push_bytes(&digits[start..])
+    }
+
+    #[inline]
+    fn push_bytes(mut self, bytes: &[u8]) -> Self {
+        for &b in bytes {
+            self.hash ^= u64::from(b);
+            self.hash = self.hash.wrapping_mul(FNV_PRIME);
+        }
+        self
+    }
+
+    /// Derives the label's stream under `seed`.
+    pub fn rng(self, seed: u64) -> StudyRng {
+        ipv6web_obs::inc("stats.rng_derivations");
+        let h = self.hash;
+        let mut key = [0u8; 32];
+        key[..8].copy_from_slice(&seed.to_le_bytes());
+        key[8..16].copy_from_slice(&h.to_le_bytes());
+        key[16..24].copy_from_slice(&seed.rotate_left(32).to_le_bytes());
+        key[24..32].copy_from_slice(&h.rotate_left(17).to_le_bytes());
+        ChaCha8Rng::from_seed(key)
+    }
 }
 
 /// Draws from a log-normal distribution parameterized by the *median* and the
@@ -52,6 +127,7 @@ pub fn coin<R: Rng>(rng: &mut R, p: f64) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use rand::RngCore;
 
     #[test]
@@ -97,6 +173,47 @@ mod tests {
         assert!((2700..3300).contains(&hits), "hits {hits}");
         assert!(!coin(&mut rng, 0.0));
         assert!(coin(&mut rng, 1.0));
+    }
+
+    #[test]
+    fn label_digits_match_format() {
+        for n in [0u64, 7, 10, 99, 100, 4_294_967_295, u64::MAX] {
+            let mut built = RngLabel::new().push_u64(n).rng(3);
+            let mut formatted = derive_rng(3, &n.to_string());
+            assert_eq!(built.next_u64(), formatted.next_u64(), "{n}");
+        }
+        assert_eq!(RngLabel::new(), RngLabel::new().push_str(""));
+    }
+
+    proptest! {
+        /// The probe's label, built piecewise, derives the stream the
+        /// formatted label does — for any vantage name and any ids.
+        #[test]
+        fn built_probe_label_matches_formatted(
+            seed in any::<u64>(),
+            vantage in collection::vec(
+                any::<u32>().prop_map(|c| char::from_u32(c % 0x11_0000).unwrap_or('.')),
+                0..24,
+            ),
+            week in prop_oneof![Just(0u32), Just(u32::MAX), any::<u32>()],
+            salt in prop_oneof![Just(0u32), Just(u32::MAX), any::<u32>()],
+            site in prop_oneof![Just(0u32), Just(u32::MAX), any::<u32>()],
+        ) {
+            let vantage: String = vantage.into_iter().collect();
+            let mut built = RngLabel::new()
+                .push_str(&vantage)
+                .push_str(":probe:")
+                .push_u32(week)
+                .push_str(":")
+                .push_u32(salt)
+                .push_str(":")
+                .push_u32(site)
+                .rng(seed);
+            let mut formatted = derive_rng(seed, &format!("{vantage}:probe:{week}:{salt}:{site}"));
+            for _ in 0..8 {
+                prop_assert_eq!(built.next_u64(), formatted.next_u64());
+            }
+        }
     }
 
     #[test]

@@ -12,15 +12,26 @@
 //! for both worlds keeps the simulated exchanges and the service honest
 //! about speaking the same protocol.
 
-use std::io::BufRead;
+use std::io::{BufRead, Write};
 use std::time::Instant;
 
 /// Builds the monitor's GET request for a site's main page.
 pub fn build_request(host: &str) -> Vec<u8> {
-    format!(
-        "GET / HTTP/1.1\r\nHost: {host}\r\nUser-Agent: ipv6web-monitor/1.0\r\nAccept: text/html\r\nConnection: close\r\n\r\n"
-    )
-    .into_bytes()
+    let mut out = Vec::with_capacity(REQUEST_HEAD.len() + host.len() + REQUEST_TAIL.len());
+    write_request(&mut out, host);
+    out
+}
+
+const REQUEST_HEAD: &[u8] = b"GET / HTTP/1.1\r\nHost: ";
+const REQUEST_TAIL: &[u8] =
+    b"\r\nUser-Agent: ipv6web-monitor/1.0\r\nAccept: text/html\r\nConnection: close\r\n\r\n";
+
+/// Appends the bytes of [`build_request`] to `out`, so a caller that keeps
+/// `out` between exchanges writes requests without allocating.
+pub fn write_request(out: &mut Vec<u8>, host: &str) {
+    out.extend_from_slice(REQUEST_HEAD);
+    out.extend_from_slice(host.as_bytes());
+    out.extend_from_slice(REQUEST_TAIL);
 }
 
 /// Builds a 200 response carrying a deterministic body of `body_len` bytes.
@@ -52,10 +63,22 @@ pub fn build_response(host: &str, body_len: usize) -> Vec<u8> {
 /// far the dominant cost of a simulated exchange — is wasted work there.
 /// [`parse_response_len`] accepts a body-less response unchanged.
 pub fn build_response_header(body_len: usize) -> Vec<u8> {
-    format!(
-        "HTTP/1.1 200 OK\r\nServer: ipv6web-sim\r\nContent-Type: text/html\r\nContent-Length: {body_len}\r\nConnection: close\r\n\r\n"
-    )
-    .into_bytes()
+    // the length takes at most 20 decimal digits
+    let mut out = Vec::with_capacity(RESPONSE_HEAD.len() + 20 + RESPONSE_TAIL.len());
+    write_response_header(&mut out, body_len);
+    out
+}
+
+const RESPONSE_HEAD: &[u8] =
+    b"HTTP/1.1 200 OK\r\nServer: ipv6web-sim\r\nContent-Type: text/html\r\nContent-Length: ";
+const RESPONSE_TAIL: &[u8] = b"\r\nConnection: close\r\n\r\n";
+
+/// Appends the bytes of [`build_response_header`] to `out`, so a caller
+/// that keeps `out` between exchanges writes headers without allocating.
+pub fn write_response_header(out: &mut Vec<u8>, body_len: usize) {
+    out.extend_from_slice(RESPONSE_HEAD);
+    write!(out, "{body_len}").expect("writing to a Vec cannot fail");
+    out.extend_from_slice(RESPONSE_TAIL);
 }
 
 /// A response torn before the header terminator — what a connection cut
@@ -63,16 +86,24 @@ pub fn build_response_header(body_len: usize) -> Vec<u8> {
 /// which is exactly how fault injection exercises the monitor's
 /// malformed-response path.
 pub fn truncate_response(response: &[u8]) -> Vec<u8> {
-    match response.windows(4).position(|w| w == b"\r\n\r\n") {
-        Some(sep) => response[..sep].to_vec(),
-        None => response[..response.len() / 2].to_vec(),
-    }
+    response[..torn_len(response)].to_vec()
+}
+
+/// How many bytes of `response` survive [`truncate_response`]: everything
+/// before the header terminator, or half of a response without one.
+pub fn torn_len(response: &[u8]) -> usize {
+    header_end(response).unwrap_or(response.len() / 2)
+}
+
+/// Offset of the `\r\n\r\n` that ends a header section.
+fn header_end(bytes: &[u8]) -> Option<usize> {
+    bytes.windows(4).position(|w| matches!(w, [b'\r', b'\n', b'\r', b'\n']))
 }
 
 /// Parses the `Content-Length` and returns `(header_len, body_len)` of a
 /// response, or `None` if malformed.
 pub fn parse_response_len(response: &[u8]) -> Option<(usize, usize)> {
-    let sep = response.windows(4).position(|w| w == b"\r\n\r\n")? + 4;
+    let sep = header_end(response)? + 4;
     let head = std::str::from_utf8(&response[..sep]).ok()?;
     if !head.starts_with("HTTP/1.1 ") {
         return None;
@@ -242,6 +273,32 @@ mod tests {
         assert!(s.starts_with("GET / HTTP/1.1\r\n"));
         assert!(s.contains("Host: site1.web.example\r\n"));
         assert!(s.ends_with("\r\n\r\n"));
+    }
+
+    #[test]
+    fn writers_match_the_formatted_headers() {
+        let mut out = Vec::new();
+        write_request(&mut out, "site1.web.example");
+        assert_eq!(
+            out,
+            b"GET / HTTP/1.1\r\nHost: site1.web.example\r\nUser-Agent: ipv6web-monitor/1.0\r\n\
+              Accept: text/html\r\nConnection: close\r\n\r\n"
+        );
+        for len in [0usize, 7, 10, 4096, 123_456_789, usize::MAX] {
+            out.clear();
+            write_response_header(&mut out, len);
+            let formatted = format!(
+                "HTTP/1.1 200 OK\r\nServer: ipv6web-sim\r\nContent-Type: text/html\r\n\
+                 Content-Length: {len}\r\nConnection: close\r\n\r\n"
+            );
+            assert_eq!(out, formatted.as_bytes(), "{len}");
+            assert_eq!(parse_response_len(&out), Some((out.len(), len)));
+            assert_eq!(
+                parse_response_len(&out[..torn_len(&out)]),
+                None,
+                "torn header is malformed"
+            );
+        }
     }
 
     #[test]

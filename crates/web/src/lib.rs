@@ -26,8 +26,8 @@ pub mod zone_build;
 
 pub use http::{
     build_http_response, build_request, build_response, build_response_header, pages_identical,
-    parse_response_len, read_http_request, read_http_request_deadline, status_reason,
-    truncate_response, HttpRequest, MAX_REQUEST_BODY,
+    parse_response_len, read_http_request, read_http_request_deadline, status_reason, torn_len,
+    truncate_response, write_request, write_response_header, HttpRequest, MAX_REQUEST_BODY,
 };
 pub use population::{v6_adoption_prob, PopulationConfig};
 pub use server::{ServerFault, ServerProfile};

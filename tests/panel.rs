@@ -83,6 +83,7 @@ fn spec_less_scenarios_have_no_panel_section() {
     // The empty-population contract: without a `vantage_population` the
     // study runs the Table 1 six and the report carries no `panel` key, so
     // its bytes match reports written before populations existed.
+    let _g = ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let mut s = Scenario::quick(7);
     s.population.n_sites = 400;
     s.tail_sites = 80;
@@ -108,6 +109,7 @@ fn too_small_topology_is_a_typed_study_error() {
     // Population larger than the topology's dual-stack access tier: the
     // study must refuse with the typed error (exit 2 in `repro`), never
     // panic.
+    let _g = ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let mut s = tiny_panel(3);
     s.vantage_population = Some(VantagePopulation { count: 5_000, ..Default::default() });
     match run_study(&s) {

@@ -34,6 +34,82 @@ fn dns_query_resolves_into_generated_topology_addresses() {
     assert!(topo.node(origin).v6.as_ref().unwrap().prefix.contains(v6));
 }
 
+/// The resolver — codec round trip, `NameId`-keyed caches, DNS64 synthesis
+/// — answers exactly what the authority holds: for every name of a
+/// generated zone, both families, at the weeks where the answer can change,
+/// on plain and DNS64 resolvers; and its statistics are the classic
+/// accounting of misses, hits and NXDOMAINs.
+#[test]
+fn resolver_answers_equal_the_authority_across_weeks() {
+    use ipv6web::dns::{Answer, RecordData, ResolverStats};
+    const WEEKS: u32 = 52;
+    let topo = generate(&TopologyConfig::test_small(), 4);
+    let (sites, names) = population::generate(&PopulationConfig::test_small(WEEKS), &topo, 4);
+    let zone = build_zone(&topo, &sites, names);
+    // every interned name, plus names the zone never interned: a trailing-dot
+    // form (cold path, but its decoded question is a real name) and misses
+    let mut queried: Vec<String> = zone.names().iter().map(|(_, n)| n.to_string()).collect();
+    queried.push(format!("{}.", queried[0]));
+    queried.extend((0..3).map(|i| format!("missing{i}.web.example")));
+    let expected = |name: &str, qtype: RecordType, week: u32, dns64: bool| {
+        let canonical = name.trim_end_matches('.');
+        let records = zone.query(canonical, qtype, week)?;
+        let answer = match records.as_slice() {
+            [] => Answer::NODATA,
+            [r] => Answer::record(r.data, r.ttl),
+            more => panic!("{name}: the authority answered {} records", more.len()),
+        };
+        if !(dns64 && qtype == RecordType::Aaaa && answer.is_empty()) {
+            return Some(answer);
+        }
+        // RFC 6147: synthesize from the A record
+        let a = zone.query(canonical, RecordType::A, week).expect("NODATA implies the name exists");
+        let RecordData::V4(v4) = a[0].data else { panic!("A record carries IPv4") };
+        Some(Answer::record(RecordData::V6(ipv6web::xlat::synthesize(v4)), a[0].ttl))
+    };
+    let mut synthesized = 0;
+    for dns64 in [false, true] {
+        let mut r = if dns64 { Resolver::dns64() } else { Resolver::new() };
+        let mut want = ResolverStats::default();
+        for name in &queried {
+            let from = zone.entry(name.trim_end_matches('.')).map_or(0, |e| e.v6_from_week);
+            let mut weeks = vec![0, from.saturating_sub(1), from, WEEKS - 1];
+            weeks.sort_unstable();
+            weeks.dedup();
+            for week in weeks {
+                // weeks apart, so no answer outlives its week in the cache
+                let now = u64::from(week) * 604_800;
+                for pass in 0..2 {
+                    for qtype in [RecordType::A, RecordType::Aaaa] {
+                        let got = r.resolve(&zone, name, qtype, week, now + pass);
+                        let exp = expected(name, qtype, week, dns64);
+                        assert_eq!(got, exp, "{name} {qtype:?} week {week} dns64 {dns64}");
+                        // the A query already negatively cached a missing
+                        // name; the second pass hits every line
+                        if pass == 1 || (exp.is_none() && qtype == RecordType::Aaaa) {
+                            want.cache_hits += 1;
+                        } else {
+                            want.cache_misses += 1;
+                            want.nxdomain += u64::from(exp.is_none());
+                        }
+                        if dns64 && pass == 0 && qtype == RecordType::Aaaa {
+                            synthesized += got.is_some_and(|a| {
+                                let RecordData::V6(v6) = a.first().expect("AAAA answer").data
+                                else {
+                                    panic!("AAAA carries IPv6")
+                                };
+                                ipv6web::xlat::is_synthesized(v6)
+                            }) as u32;
+                        }
+                    }
+                }
+            }
+        }
+        assert_eq!(r.stats(), want, "dns64 {dns64}");
+    }
+    assert!(synthesized > 0, "the zone has v4-only names to synthesize for");
+}
+
 #[test]
 fn bgp_route_feeds_dataplane_feeds_tcp_model() {
     let topo = generate(&TopologyConfig::test_small(), 5);
