@@ -14,17 +14,19 @@
 //!   then lowest next-hop AS id (deterministic tie-break).
 //!
 //! Route computation runs per destination over the per-family subgraph and
-//! yields the best route *from every AS at once*; [`BgpTable`] then snapshots
-//! the view of one vantage-point router, which is what the monitor consumes.
+//! yields the best route *from every AS at once*. [`RouteChain`] streams
+//! each destination's computation through every routing epoch, keeping only
+//! the rows of the vantage-point routers; each [`BgpTable`] is one such
+//! router's view, which is what the monitor consumes.
 
+pub mod chain;
 pub mod compute;
 pub mod dump;
 pub mod path;
-pub mod store;
 pub mod table;
 
+pub use chain::{Flips, RouteChain};
 pub use compute::{routes_to_dest, RouteKind, RoutesToDest};
 pub use dump::{dump, parse_dump, DumpParseError};
 pub use path::{AsPath, AsPathRef};
-pub use store::RouteStore;
 pub use table::{BgpTable, RouteRef};

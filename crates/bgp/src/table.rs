@@ -94,24 +94,15 @@ impl BgpTable {
         RouteRef { dest: self.dests[i], as_path: AsPathRef::from_symbols(path), edges }
     }
 
-    /// Builds the table by running per-destination route computation for
-    /// every AS in `dests` (in parallel) and keeping the vantage point's
-    /// entries.
+    /// Builds one vantage point's table by running per-destination route
+    /// computation for every AS in `dests` (in parallel): a
+    /// [`RouteChain`](crate::RouteChain) with this vantage alone and no
+    /// routing events.
     pub fn build(topo: &Topology, vantage_as: AsId, family: Family, dests: &[AsId]) -> Self {
-        crate::store::RouteStore::build(topo, family, dests).table_for(vantage_as)
-    }
-
-    /// Builds tables for several vantage points while computing each
-    /// destination's routes only once (the expensive step). Keep the
-    /// [`crate::store::RouteStore`] instead when the computations should
-    /// outlive the tables (e.g. to rebuild after a route-change event).
-    pub fn build_many(
-        topo: &Topology,
-        vantage_ases: &[AsId],
-        family: Family,
-        dests: &[AsId],
-    ) -> Vec<BgpTable> {
-        crate::store::RouteStore::build(topo, family, dests).tables_for(vantage_ases)
+        crate::RouteChain::start(topo, family, dests, &[vantage_as], &[])
+            .into_tables()
+            .pop()
+            .expect("one vantage, one table")
     }
 
     /// The `AS_PATH` to `dest`, if routed.
@@ -186,23 +177,6 @@ mod tests {
         let t6 = BgpTable::build(&t, vantage, Family::V6, &dests);
         assert!(t6.len() < t4.len(), "v6 {} !< v4 {}", t6.len(), t4.len());
         assert!(!t6.is_empty(), "some dual-stack content reachable");
-    }
-
-    #[test]
-    fn build_many_matches_individual_builds() {
-        let t = topo();
-        let dests: Vec<AsId> =
-            t.nodes().iter().filter(|n| n.tier == Tier::Content).map(|n| n.id).take(10).collect();
-        let vantages: Vec<AsId> =
-            t.nodes().iter().filter(|n| n.tier == Tier::Access).map(|n| n.id).take(3).collect();
-        let many = BgpTable::build_many(&t, &vantages, Family::V4, &dests);
-        for (i, &v) in vantages.iter().enumerate() {
-            let single = BgpTable::build(&t, v, Family::V4, &dests);
-            assert_eq!(many[i].len(), single.len());
-            for r in single.iter() {
-                assert_eq!(many[i].route(r.dest), Some(r));
-            }
-        }
     }
 
     #[test]

@@ -11,35 +11,6 @@ use ipv6web_web::PopulationConfig;
 use ipv6web_xlat::{ClientStack, XlatConfig};
 use serde::{Deserialize, Serialize};
 
-/// Whether BGP tables are built by streaming per-destination route
-/// computations instead of retaining a memoized
-/// [`ipv6web_bgp::RouteStore`].
-///
-/// A transparent `bool`: `StreamRoutes(true)` bounds table-building
-/// memory at internet scale (the store would hold destinations × ASes
-/// worth of next-hop columns), at the cost of from-scratch epoch
-/// rebuilds. Absent in a scenario file — every file written before the
-/// internet tier existed — it deserializes to `false`, the store-backed
-/// pipeline those scenarios always ran.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct StreamRoutes(pub bool);
-
-impl serde::Serialize for StreamRoutes {
-    fn to_value(&self) -> serde::Value {
-        self.0.to_value()
-    }
-}
-
-impl serde::Deserialize for StreamRoutes {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::DeError> {
-        bool::from_value(v).map(StreamRoutes)
-    }
-
-    fn missing_field(_name: &str) -> Result<Self, serde::DeError> {
-        Ok(StreamRoutes(false))
-    }
-}
-
 /// A complete, reproducible study configuration.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Scenario {
@@ -84,9 +55,6 @@ pub struct Scenario {
     /// checkpointing. A later run with the same directory resumes each
     /// vantage point from its last completed round.
     pub checkpoint_dir: Option<String>,
-    /// Stream route tables instead of retaining a `RouteStore` (see
-    /// [`StreamRoutes`]). On only in the internet tier.
-    pub stream_routes: StreamRoutes,
     /// The NAT64/DNS64/464XLAT transition plane: gateway placement, the
     /// stateful-translation cost model, and the per-vantage client-stack
     /// assignment. The default (zero gateways, all vantages dual-stack)
@@ -125,7 +93,6 @@ impl Scenario {
             route_change: Some((26, 0.03, 0.01)),
             faults: FaultPlan::default(),
             checkpoint_dir: None,
-            stream_routes: StreamRoutes(false),
             xlat: XlatConfig::default(),
             vantage_population: None,
         }
@@ -164,7 +131,6 @@ impl Scenario {
             route_change: Some((13, 0.03, 0.01)),
             faults: FaultPlan::default(),
             checkpoint_dir: None,
-            stream_routes: StreamRoutes(false),
             xlat: XlatConfig::default(),
             vantage_population: None,
         }
@@ -172,10 +138,11 @@ impl Scenario {
 
     /// The paper-magnitude "whole internet" tier: ~37k ASes (the
     /// internet's size in 2011), one million ranked sites plus a 100k
-    /// DNS-cache tail, 26 weekly rounds. Site names are interned, tables
-    /// are columnar, and route tables are **streamed**
-    /// ([`StreamRoutes`]) — the memoized store would not fit in memory at
-    /// this scale. Hosting concentrates into a 2,500-AS pool, matching
+    /// DNS-cache tail, 26 weekly rounds. Site names are interned and
+    /// tables are columnar; route tables come from the same streamed
+    /// [`ipv6web_bgp::RouteChain`] as every tier, which never holds more
+    /// than one destination's per-AS routes per worker thread. Hosting
+    /// concentrates into a 2,500-AS pool, matching
     /// the paper's observation that the top sites cluster into a few
     /// thousand hosting/CDN ASes and keeping the destination set (and
     /// with it route-computation time) bounded.
@@ -206,16 +173,15 @@ impl Scenario {
             route_change: Some((13, 0.03, 0.01)),
             faults: FaultPlan::default(),
             checkpoint_dir: None,
-            stream_routes: StreamRoutes(true),
             xlat: XlatConfig::default(),
             vantage_population: None,
         }
     }
 
     /// A downsized internet tier (~5k ASes, 50k sites) exercising the
-    /// same streamed, interned, columnar pipeline as
-    /// [`Scenario::internet`] at CI-smoke cost. Used by the determinism
-    /// tests and the `internet-smoke` CI job.
+    /// same interned, columnar pipeline as [`Scenario::internet`] at
+    /// CI-smoke cost. Used by the determinism tests and CI's tier smoke
+    /// matrix.
     pub fn internet_smoke(seed: u64) -> Self {
         let mut s = Scenario::internet(seed);
         s.topology = TopologyConfig::scaled(5_000);
@@ -420,18 +386,21 @@ mod tests {
     }
 
     #[test]
-    fn internet_tiers_stream_routes_and_older_json_does_not() {
-        assert!(Scenario::internet(1).stream_routes.0);
-        assert!(Scenario::internet_smoke(1).stream_routes.0);
-        // scenario files that predate the internet tier carry no
-        // `stream_routes` key; they must keep the store-backed pipeline
-        let mut v = serde_json::to_value(&Scenario::quick(7)).unwrap();
-        if let serde_json::Value::Obj(fields) = &mut v {
-            fields.retain(|(k, _)| k != "stream_routes");
+    fn legacy_stream_routes_key_is_ignored() {
+        // scenario files written while table building had two pipelines
+        // carry a `stream_routes` flag; both values parse to the preset
+        for preset in [Scenario::quick(7), Scenario::internet_smoke(7)] {
+            for flag in [true, false] {
+                let mut v = serde_json::to_value(&preset).unwrap();
+                if let serde_json::Value::Obj(fields) = &mut v {
+                    fields.push(("stream_routes".to_string(), serde_json::Value::Bool(flag)));
+                }
+                let json = serde_json::to_string(&v).unwrap();
+                assert!(json.contains("\"stream_routes\""), "{json}");
+                let back: Scenario = serde_json::from_str(&json).unwrap();
+                assert_eq!(back, preset, "stream_routes: {flag}");
+            }
         }
-        let back: Scenario = serde_json::from_str(&serde_json::to_string(&v).unwrap()).unwrap();
-        assert!(!back.stream_routes.0);
-        assert_eq!(back, Scenario::quick(7));
     }
 
     #[test]

@@ -161,9 +161,9 @@ pub fn run_study_mode(scenario: &Scenario, mode: ExecutionMode) -> Result<StudyR
 ///
 /// This is the entry point for services that keep worlds alive across
 /// studies: concurrent jobs on the same world seed pass clones of one
-/// `Arc<World>`, sharing its memoized route tables instead of rebuilding
-/// destinations × ASes of next-hop state per job. `checkpoint_dir`
-/// overrides `world.scenario.checkpoint_dir` so the *same* world can back
+/// `Arc<World>`, sharing its route tables instead of recomputing every
+/// destination's routes per job. `checkpoint_dir` overrides
+/// `world.scenario.checkpoint_dir` so the *same* world can back
 /// jobs with different checkpoint locations; the produced report is
 /// byte-identical to [`run_study_mode`] on the equivalent scenario either
 /// way.

@@ -2,7 +2,7 @@
 
 use crate::scenario::Scenario;
 use ipv6web_alexa::TopList;
-use ipv6web_bgp::{BgpTable, RouteStore};
+use ipv6web_bgp::{BgpTable, Flips, RouteChain};
 use ipv6web_faults::FaultInjector;
 use ipv6web_monitor::{
     Disturbances, PopulationError, ProbeContext, ProbeFaults, ProbeXlat, VantageCountError,
@@ -258,39 +258,19 @@ impl World {
         dests.extend(xlat_gateways.iter().copied());
         dests.sort();
         dests.dedup();
-        // Per-destination route computations are shared: one RouteStore per
-        // family serves all six vantage points, and the v6 store survives to
-        // seed the post-route-change rebuild below.
         let vantage_ids: Vec<AsId> = vantages.iter().map(|v| v.as_id).collect();
-        // Streaming mode (internet tier) never retains a RouteStore: the
-        // per-destination computations are extracted and dropped on the
-        // fly, so `store_v6` is `None` and epoch rebuilds stream from the
-        // flipped topology instead of the memoized store.
-        let (t4, store_v6) = if scenario.stream_routes.0 {
-            let t4 = {
-                let _s = ipv6web_obs::span("world: route tables (v4)");
-                RouteStore::stream_tables(&topo, Family::V4, &dests, &vantage_ids)
-            };
-            (t4, None)
-        } else {
-            let t4 = {
-                let _s = ipv6web_obs::span("world: route tables (v4)");
-                RouteStore::build(&topo, Family::V4, &dests).tables_for(&vantage_ids)
-            };
-            let store_v6 = {
-                let _s = ipv6web_obs::span("world: route tables (v6)");
-                RouteStore::build(&topo, Family::V6, &dests)
-            };
-            (t4, Some(store_v6))
+
+        // One v4 pass serves the vantage points and, as extra vantages, the
+        // NAT64 gateways, whose onward v4 tables the translation plane reads.
+        let (t4, gw_tables) = {
+            let _s = ipv6web_obs::span("world: route tables (v4)");
+            let v4_vantages: Vec<AsId> =
+                vantage_ids.iter().chain(&xlat_gateways).copied().collect();
+            let mut t4 =
+                RouteChain::start(&topo, Family::V4, &dests, &v4_vantages, &[]).into_tables();
+            let gw_tables = t4.split_off(vantage_ids.len());
+            (t4, gw_tables)
         };
-        let t6 = match &store_v6 {
-            Some(store) => store.tables_for(&vantage_ids),
-            None => {
-                let _s = ipv6web_obs::span("world: route tables (v6)");
-                RouteStore::stream_tables(&topo, Family::V6, &dests, &vantage_ids)
-            }
-        };
-        let tables: Vec<(BgpTable, BgpTable)> = t4.into_iter().zip(t6).collect();
 
         // The scenario's scheduled route-change edge sample. The RNG
         // stream and candidate filters are the same whether or not fault
@@ -323,88 +303,67 @@ impl World {
             (week, gain_candidates, loss_candidates)
         });
 
-        // Mid-campaign IPv6 route changes: flip a slice of edges and
-        // recompute the IPv6 tables for the second epoch. IPv4 stays put —
-        // the paper's transitions were an IPv6-deployment phenomenon.
-        let (v6_epoch, topo_late, injector, fault_epochs) = if scenario.faults.is_empty() {
-            // fault-free: the single scheduled epoch, exactly as before
-            let (v6_epoch, topo_late) = match scenario_event {
-                None => (None, None),
-                Some((week, gains, losses)) => {
-                    let _s = ipv6web_obs::span("world: route tables (v6 epoch)");
-                    let late = topo.with_v6_flips(&gains, &losses);
-                    let t6_late = match &store_v6 {
-                        // memoized rebuild: only destinations the flipped
-                        // edges can affect are recomputed; the rest reuse
-                        // the early store
-                        Some(store) => {
-                            let (late_store, _recomputed) =
-                                store.rebuild_with_flips(&late, &gains, &losses);
-                            late_store.tables_for(&vantage_ids)
-                        }
-                        // streaming mode: from-scratch streamed build on
-                        // the flipped topology
-                        None => RouteStore::stream_tables(&late, Family::V6, &dests, &vantage_ids),
-                    };
-                    (Some((week, t6_late)), Some(late))
-                }
-            };
-            (v6_epoch, topo_late, None, Vec::new())
-        } else {
-            // fault injection: BGP session flaps add extra routing epochs;
-            // all epochs (scenario event included) chain cumulatively
-            // through the memoized store
-            let _s = ipv6web_obs::span("world: route tables (v6 epochs, faulted)");
-            let injector = FaultInjector::new(scenario.faults.clone(), scenario.seed);
-            let mut events: Vec<(u32, Vec<EdgeId>, Vec<EdgeId>, bool)> = injector
-                .bgp_events(&topo)
-                .into_iter()
-                .map(|(week, gains, losses)| (week, gains, losses, false))
-                .collect();
-            if let Some((week, gains, losses)) = scenario_event {
-                events.push((week, gains, losses, true));
-            }
-            // stable order: by week, the scenario event first on ties
-            events.sort_by_key(|&(week, _, _, is_scenario)| (week, !is_scenario));
-            let flips: Vec<(Vec<EdgeId>, Vec<EdgeId>)> =
-                events.iter().map(|(_, g, l, _)| (g.clone(), l.clone())).collect();
-            // per-event cumulative `(topology, per-vantage tables)`
-            let chain: Vec<(Topology, Vec<BgpTable>)> = match &store_v6 {
-                Some(store) => store
-                    .rebuild_sequence(&topo, &flips)
-                    .into_iter()
-                    .map(|(late_topo, late_store, _n)| {
-                        let tables = late_store.tables_for(&vantage_ids);
-                        (late_topo, tables)
-                    })
-                    .collect(),
-                // streaming mode: apply flips cumulatively and stream each
-                // epoch's tables from scratch
-                None => {
-                    let mut cur = topo.clone();
-                    flips
-                        .iter()
-                        .map(|(gains, losses)| {
-                            cur = cur.with_v6_flips(gains, losses);
-                            let tables =
-                                RouteStore::stream_tables(&cur, Family::V6, &dests, &vantage_ids);
-                            (cur.clone(), tables)
-                        })
-                        .collect()
-                }
-            };
-            let mut v6_epoch = None;
-            let mut topo_late = None;
-            let mut fault_epochs = Vec::with_capacity(chain.len());
-            for ((week, _, _, is_scenario), (late_topo, tables)) in events.iter().zip(chain) {
-                if *is_scenario {
-                    v6_epoch = Some((*week, tables.clone()));
-                    topo_late = Some(late_topo);
-                }
-                fault_epochs.push((*week, tables));
-            }
-            (v6_epoch, topo_late, Some(injector), fault_epochs)
+        // Mid-campaign IPv6 route changes: the scenario's event plus, under
+        // fault injection, the BGP session flaps — one cumulative chain of
+        // routing epochs, ordered by week with the scenario event first on
+        // ties. IPv4 stays put: the paper's transitions were an
+        // IPv6-deployment phenomenon.
+        let injector = (!scenario.faults.is_empty())
+            .then(|| FaultInjector::new(scenario.faults.clone(), scenario.seed));
+        let mut events: Vec<(u32, bool, Flips)> = injector
+            .iter()
+            .flat_map(|inj| inj.bgp_events(&topo))
+            .map(|(week, gains, losses)| (week, false, (gains, losses)))
+            .collect();
+        if let Some((week, gains, losses)) = scenario_event {
+            events.push((week, true, (gains, losses)));
+        }
+        events.sort_by_key(|&(week, is_scenario, _)| (week, !is_scenario));
+        let (keys, flips): (Vec<(u32, bool)>, Vec<Flips>) =
+            events.into_iter().map(|(week, is_scenario, f)| ((week, is_scenario), f)).unzip();
+
+        let v6 = {
+            let _s = ipv6web_obs::span("world: route tables (v6)");
+            RouteChain::start(&topo, Family::V6, &dests, &vantage_ids, &flips)
         };
+        // The epoch topologies are built after the base pass, so they never
+        // sit in memory beside its in-flight computations.
+        let epochs: Vec<(Topology, Vec<BgpTable>)> = if flips.is_empty() {
+            Vec::new()
+        } else {
+            let _s = ipv6web_obs::span(if injector.is_some() {
+                "world: route tables (v6 epochs, faulted)"
+            } else {
+                "world: route tables (v6 epoch)"
+            });
+            let mut topos: Vec<Topology> = Vec::with_capacity(flips.len());
+            for (gains, losses) in &flips {
+                let late = topos.last().unwrap_or(&topo).with_v6_flips(gains, losses);
+                topos.push(late);
+            }
+            let tables = v6.epoch_tables(&topos);
+            topos.into_iter().zip(tables).collect()
+        };
+        let tables: Vec<(BgpTable, BgpTable)> = t4.into_iter().zip(v6.into_tables()).collect();
+
+        // The scenario's epoch fills `v6_epoch` and `topo_late`. Under fault
+        // injection every epoch, the scenario's included, also joins
+        // `fault_epochs`, the chain probes walk; without faults the
+        // scenario's is the only epoch, so its tables move uncopied.
+        let mut v6_epoch = None;
+        let mut topo_late = None;
+        let mut fault_epochs = Vec::new();
+        for ((week, is_scenario), (late, tables)) in keys.into_iter().zip(epochs) {
+            if is_scenario {
+                topo_late = Some(late);
+                if injector.is_none() {
+                    v6_epoch = Some((week, tables));
+                    continue;
+                }
+                v6_epoch = Some((week, tables.clone()));
+            }
+            fault_epochs.push((week, tables));
+        }
 
         // The translation plane: per-gateway cost draws, each gateway's
         // onward v4 table, and every vantage point's failover order
@@ -415,10 +374,6 @@ impl World {
             let _s = ipv6web_obs::span("world: xlat wiring");
             let costs =
                 ipv6web_xlat::gateway_costs(&scenario.xlat, scenario.seed, xlat_gateways.len());
-            let gw_tables: Vec<BgpTable> = xlat_gateways
-                .iter()
-                .map(|&g| BgpTable::build(&topo, g, Family::V4, &dests))
-                .collect();
             let pref: Vec<Vec<usize>> = tables
                 .iter()
                 .map(|(_, t6)| {

@@ -1,11 +1,11 @@
 //! Sharing built worlds (and their memoized route tables) across jobs.
 //!
 //! Building a [`World`] is the expensive part of a study — the route
-//! tables alone are destinations × ASes of next-hop state. Two concurrent
-//! jobs with the same resolved scenario must not pay that twice, so the
-//! daemon keys built worlds by [`Scenario::config_hash`] (which strips
-//! `checkpoint_dir` — per-job checkpoint placement never forks a world)
-//! and hands out clones of one `Arc<World>`.
+//! tables alone compute destinations × ASes of next-hop state. Two
+//! concurrent jobs with the same resolved scenario must not pay that
+//! twice, so the daemon keys built worlds by [`Scenario::config_hash`]
+//! (which strips `checkpoint_dir` — per-job checkpoint placement never
+//! forks a world) and hands out clones of one `Arc<World>`.
 
 use ipv6web_core::{Scenario, World};
 use std::collections::HashMap;

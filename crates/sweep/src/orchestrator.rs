@@ -155,6 +155,7 @@ pub fn run_sweep(spec: &SweepSpec, cfg: &SweepConfig) -> io::Result<SweepSummary
     let scan = store.scan()?;
     let have: std::collections::BTreeSet<&str> =
         scan.records.iter().map(|r| r.key.as_str()).collect();
+    let keys: std::collections::BTreeSet<String> = cases.iter().map(StudyCase::key).collect();
 
     let mut summary = SweepSummary { total: cases.len(), ..SweepSummary::default() };
     ipv6web_obs::add("sweep.studies", cases.len() as u64);
@@ -297,15 +298,22 @@ pub fn run_sweep(spec: &SweepSpec, cfg: &SweepConfig) -> io::Result<SweepSummary
         std::thread::sleep(POLL);
     }
 
-    // Merge: everything on disk, sorted by index — identical bytes no
-    // matter how many orchestrator runs (or processes) it took.
-    let final_scan = store.scan()?;
-    summary.quarantined_on_disk = final_scan
-        .records
-        .iter()
-        .filter(|r| r.status == crate::record::StudyStatus::Quarantined)
-        .count();
-    store.write_merged(&final_scan.records)?;
+    // Merge: this spec's records on disk, sorted by index — identical
+    // bytes no matter how many orchestrator runs (or processes) it took.
+    // Records under a key no current case has (another spec's, or one
+    // whose scenario has since changed its config hash) stay on disk but
+    // never reach the merged outputs.
+    let (current, foreign): (Vec<StudyRecord>, Vec<StudyRecord>) =
+        store.scan()?.records.into_iter().partition(|r| keys.contains(&r.key));
+    if !foreign.is_empty() {
+        eprintln!(
+            "sweep: skipped {} records on disk that match no case of this spec",
+            foreign.len()
+        );
+    }
+    summary.quarantined_on_disk =
+        current.iter().filter(|r| r.status == crate::record::StudyStatus::Quarantined).count();
+    store.write_merged(&current)?;
     eprintln!(
         "sweep: {} studies — {} completed now, {} resumed, {} quarantined \
          ({} retries, {} timeouts, {} stalls)",
@@ -415,6 +423,59 @@ mod tests {
         assert_eq!(backoff_delay(4, &s), Duration::from_millis(800));
         assert_eq!(backoff_delay(5, &s), Duration::from_millis(800), "capped");
         assert_eq!(backoff_delay(64, &s), Duration::from_millis(800), "shift overflow capped");
+    }
+
+    #[test]
+    fn merge_skips_records_of_other_specs() {
+        let dir =
+            std::env::temp_dir().join(format!("ipv6web-sweep-orch-foreign-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let spec = SweepSpec {
+            scale: Some("quick".to_string()),
+            seeds: Some(vec![1, 2]),
+            ..SweepSpec::default()
+        };
+        let cases = spec.expand().unwrap();
+        let store = ResultStore::open(&dir).unwrap();
+        // every current case already finished, so the run only merges
+        for case in &cases {
+            store.save(&StudyRecord::quarantined(case, "timed out after 10s")).unwrap();
+        }
+        // a done record at index 0 written under another configuration
+        let mut stale = cases[0].clone();
+        stale.scenario.identity_threshold = 0.07;
+        let foreign = StudyRecord {
+            status: crate::record::StudyStatus::Done,
+            reason: None,
+            metrics: Some(crate::record::StudyMetrics {
+                h1_holds: true,
+                h2_holds: true,
+                h1_min_share: 1.0,
+                h2_min_share: 1.0,
+                h2_loss_rate: 0.0,
+                sites_kept: 1,
+                dest_ases_v6: 1,
+            }),
+            ..StudyRecord::quarantined(&stale, "")
+        };
+        assert_ne!(foreign.key, cases[0].key());
+        store.save(&foreign).unwrap();
+
+        let cfg = SweepConfig {
+            spec_path: dir.join("sweep.json"),
+            store_dir: dir.clone(),
+            procs: 1,
+            worker_exe: dir.join("no-worker-is-spawned"),
+            worker_prefix: Vec::new(),
+        };
+        let summary = run_sweep(&spec, &cfg).unwrap();
+        assert_eq!((summary.total, summary.skipped, summary.completed), (2, 2, 0));
+        assert_eq!(summary.quarantined_on_disk, 2);
+        let results = std::fs::read_to_string(store.results_path()).unwrap();
+        assert!(results.contains("\"studies\": 2"), "{results}");
+        assert!(!results.contains(&foreign.key), "{results}");
+        assert!(store.record_path(&foreign.key).exists(), "foreign records stay on disk");
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -397,7 +397,7 @@ fn concurrent_same_seed_jobs_share_one_world() {
     let s2 = ipv6web::obs::snapshot();
 
     // one build, one reuse — and no duplicated route-table work: the
-    // second job rode the first job's memoized RouteStore
+    // second job rode the first job's world and its route tables
     assert_eq!(s2.counter("daemon.world.built") - s1.counter("daemon.world.built"), 1);
     assert_eq!(s2.counter("daemon.world.reused") - s1.counter("daemon.world.reused"), 1);
     let daemon_tables = s2.counter("bgp.tables_built") - s1.counter("bgp.tables_built");

@@ -70,7 +70,7 @@ fn thread_count_does_not_change_results() {
 
 #[test]
 fn memoized_epoch_rebuild_matches_from_scratch() {
-    use ipv6web::bgp::RouteStore;
+    use ipv6web::bgp::BgpTable;
     use ipv6web::topology::{AsId, Family};
     use ipv6web::World;
 
@@ -80,13 +80,13 @@ fn memoized_epoch_rebuild_matches_from_scratch() {
     let late = w.topo_late.as_ref().expect("route change produces a late topology");
     let (_, epoch_tables) = w.v6_epoch.as_ref().expect("route change produces epoch tables");
 
-    // The world's epoch tables come from the memoized rebuild; a from-scratch
-    // store over the late topology must agree exactly.
+    // The world's epoch tables reuse every destination the route change
+    // cannot affect; a from-scratch build over the late topology must agree
+    // exactly.
     let mut dests: Vec<AsId> = w.sites.iter().map(|site| site.v4_as).collect();
     dests.extend(w.sites.iter().filter_map(|site| site.v6.as_ref().map(|v| v.dest_as)));
-    let scratch = RouteStore::build(late, Family::V6, &dests);
     for (v, memoized) in w.vantages.iter().zip(epoch_tables) {
-        let direct = scratch.table_for(v.as_id);
+        let direct = BgpTable::build(late, v.as_id, Family::V6, &dests);
         assert_eq!(memoized.len(), direct.len(), "vantage {:?}", v.name);
         for r in direct.iter() {
             assert_eq!(memoized.route(r.dest), Some(r), "vantage {:?}", v.name);

@@ -1,10 +1,10 @@
-//! The internet scale tier: streamed route tables, interned names, and
-//! columnar storage must preserve the determinism guarantees of the
-//! store-backed pipeline, and the full-magnitude topology must match the
-//! structural properties measured for the real IPv6 AS graph.
+//! The internet scale tier: interned names and columnar storage must
+//! preserve the determinism guarantees of the smaller tiers, and the
+//! full-magnitude topology must match the structural properties measured
+//! for the real IPv6 AS graph.
 
 use ipv6web::topology::{generate, stats, Family, Tier, TopologyConfig};
-use ipv6web::{run_study_mode, ExecutionMode, Scenario, StreamRoutes};
+use ipv6web::{run_study_mode, ExecutionMode, Scenario};
 use std::sync::Mutex;
 
 /// `IPV6WEB_THREADS` is process-global: tests that set it run under one
@@ -12,10 +12,9 @@ use std::sync::Mutex;
 static ENV_LOCK: Mutex<()> = Mutex::new(());
 
 /// [`Scenario::internet_smoke`] shrunk to debug-build test cost while
-/// keeping everything that distinguishes the internet tier: streamed
-/// route tables (`stream_routes`), a hosting-pool cap concentrating
-/// destinations, and paper-scale population parameters. The CI
-/// `internet-smoke` job runs the full smoke tier in release mode.
+/// keeping everything that distinguishes the internet tier: a
+/// hosting-pool cap concentrating destinations, and paper-scale
+/// population parameters. CI runs the full smoke tier in release mode.
 fn tiny_internet(seed: u64) -> Scenario {
     let mut s = Scenario::internet_smoke(seed);
     s.topology = TopologyConfig::scaled(900);
@@ -29,7 +28,6 @@ fn tiny_internet(seed: u64) -> Scenario {
     s.fig1_from_week = 2;
     s.analysis.min_paired_samples = 4;
     s.route_change = Some((6, 0.03, 0.01));
-    assert!(s.stream_routes.0, "the internet tier must exercise the streamed pipeline");
     s
 }
 
@@ -50,21 +48,6 @@ fn streamed_internet_tier_is_byte_identical_across_threads_and_modes() {
         assert_eq!(json, json0, "report diverged at IPV6WEB_THREADS={threads}, mode={mode:?}");
         assert_eq!(dbs, dbs0, "databases diverged at IPV6WEB_THREADS={threads}, mode={mode:?}");
     }
-}
-
-#[test]
-fn streamed_tables_match_store_backed_tables() {
-    // Flipping `stream_routes` changes memory behavior, never results: the
-    // same scenario must produce the identical report either way.
-    let a = run_study_mode(&tiny_internet(9), ExecutionMode::Sequential).expect("valid");
-    let mut store_backed = tiny_internet(9);
-    store_backed.stream_routes = StreamRoutes(false);
-    let b = run_study_mode(&store_backed, ExecutionMode::Sequential).expect("valid");
-    assert_eq!(
-        serde_json::to_string(&a.report).unwrap(),
-        serde_json::to_string(&b.report).unwrap(),
-        "streamed and store-backed pipelines must agree byte for byte"
-    );
 }
 
 #[test]
