@@ -1,7 +1,6 @@
 //! Ranked list snapshots and the accumulate-only monitored set.
 
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 
 /// A ranked site list with churn: every site has a rank and the week it
 /// first enters the list. Site identities are `u32` indices into whatever
@@ -66,11 +65,21 @@ impl TopList {
     }
 }
 
+/// `added_week` entry of an id that is not monitored.
+const NOT_MONITORED: u32 = u32::MAX;
+
 /// The accumulate-only monitored set: "new sites … are added to the
 /// monitoring list and tracked from this point onward" (Section 3).
+///
+/// Backed by a dense table indexed by site id, like `MonitorDb`'s slot
+/// table: site ids are dense indices bounded by the population, so the
+/// table grows to the highest id ingested and a lookup is one index.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct MonitoredSet {
-    added_week: BTreeMap<u32, u32>,
+    /// `id → week added`, [`NOT_MONITORED`] for ids never ingested.
+    added_week: Vec<u32>,
+    /// Number of monitored ids.
+    len: usize,
 }
 
 impl MonitoredSet {
@@ -82,42 +91,57 @@ impl MonitoredSet {
     /// Ingests a round's list snapshot (plus any external inputs): ids not
     /// seen before are added with `week` as their addition week. Returns
     /// how many were new.
+    ///
+    /// # Panics
+    /// Panics if `week` is `u32::MAX`, the table's "not monitored" mark.
     pub fn ingest(&mut self, week: u32, ids: impl IntoIterator<Item = u32>) -> usize {
+        assert_ne!(week, NOT_MONITORED, "week u32::MAX marks unmonitored ids");
         let mut added = 0;
         for id in ids {
-            if let std::collections::btree_map::Entry::Vacant(e) = self.added_week.entry(id) {
-                e.insert(week);
+            let i = id as usize;
+            if i >= self.added_week.len() {
+                self.added_week.resize(i + 1, NOT_MONITORED);
+            }
+            if self.added_week[i] == NOT_MONITORED {
+                self.added_week[i] = week;
                 added += 1;
             }
         }
+        self.len += added;
         ipv6web_obs::add("alexa.sites_ingested", added as u64);
         added
     }
 
     /// All monitored ids (ascending).
     pub fn members(&self) -> impl Iterator<Item = u32> + '_ {
-        self.added_week.keys().copied()
+        self.added_week
+            .iter()
+            .enumerate()
+            .filter(|(_, &w)| w != NOT_MONITORED)
+            .map(|(i, _)| i as u32)
     }
 
     /// Week a site was added, if monitored.
     pub fn added_week(&self, id: u32) -> Option<u32> {
-        self.added_week.get(&id).copied()
+        self.added_week.get(id as usize).copied().filter(|&w| w != NOT_MONITORED)
     }
 
     /// Number of monitored sites.
     pub fn len(&self) -> usize {
-        self.added_week.len()
+        self.len
     }
 
     /// True when nothing is monitored yet.
     pub fn is_empty(&self) -> bool {
-        self.added_week.is_empty()
+        self.len == 0
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::collections::BTreeMap;
 
     fn list() -> TopList {
         TopList::from_parts([
@@ -197,5 +221,40 @@ mod tests {
         let mut m = MonitoredSet::new();
         m.ingest(0, vec![5, 1, 9]);
         assert_eq!(m.members().collect::<Vec<_>>(), vec![1, 5, 9]);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// The dense table behaves like the `BTreeMap<id, week>` it replaced.
+        #[test]
+        fn monitored_set_matches_tree_model(
+            batches in prop::collection::vec(
+                (0u32..3, prop::collection::vec(0u32..5000, 0..300)),
+                0..12,
+            ),
+        ) {
+            let mut set = MonitoredSet::new();
+            let mut model: BTreeMap<u32, u32> = BTreeMap::new();
+            let mut week = 0;
+            for (step, ids) in batches {
+                week += step;
+                let mut added = 0;
+                for &id in &ids {
+                    if let std::collections::btree_map::Entry::Vacant(e) = model.entry(id) {
+                        e.insert(week);
+                        added += 1;
+                    }
+                }
+                prop_assert_eq!(set.ingest(week, ids), added);
+                prop_assert_eq!(set.len(), model.len());
+                prop_assert_eq!(set.is_empty(), model.is_empty());
+            }
+            prop_assert_eq!(set.members().collect::<Vec<_>>(), model.keys().copied().collect::<Vec<_>>());
+            for id in 0..5010 {
+                prop_assert_eq!(set.added_week(id), model.get(&id).copied());
+            }
+            prop_assert_eq!(set.added_week(u32::MAX), None);
+        }
     }
 }

@@ -174,18 +174,13 @@ mod tests {
     use ipv6web_monitor::PerfSample;
 
     fn rec_from(v4: &[f64], v6: &[f64]) -> SiteRecord {
-        let mut rec = SiteRecord::default();
-        rec.samples_v4 = v4
-            .iter()
-            .enumerate()
-            .map(|(w, &s)| PerfSample { week: w as u32, speed_kbps: s, downloads: 4 })
-            .collect();
-        rec.samples_v6 = v6
-            .iter()
-            .enumerate()
-            .map(|(w, &s)| PerfSample { week: w as u32, speed_kbps: s, downloads: 4 })
-            .collect();
-        rec
+        let samples = |xs: &[f64]| -> Vec<PerfSample> {
+            xs.iter()
+                .enumerate()
+                .map(|(w, &s)| PerfSample { week: w as u32, speed_kbps: s, downloads: 4 })
+                .collect()
+        };
+        SiteRecord { samples_v4: samples(v4), samples_v6: samples(v6), ..SiteRecord::default() }
     }
 
     #[test]

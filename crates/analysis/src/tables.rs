@@ -799,7 +799,7 @@ mod tests {
     #[test]
     fn table7_and_9_bucket_by_hops() {
         let a = analysis("A");
-        let t7 = HopTable::table7(&[a.clone()]);
+        let t7 = HopTable::table7(std::slice::from_ref(&a));
         // DL+DP sites: hops 4 (DP), 2 and 1 (DL)
         assert_eq!(t7.v4[0][0].1, 1, "one site at 1 hop");
         assert_eq!(t7.v4[0][1].1, 1, "one site at 2 hops");
@@ -852,15 +852,15 @@ mod tests {
     fn renders_are_nonempty_and_aligned() {
         let a = analysis("VP-with-long-name");
         for text in [
-            Table2::build(&[a.clone()]).to_string(),
-            Table3::build(&[a.clone()]).to_string(),
-            Table4::build(&[a.clone()]).to_string(),
-            Table5::build(&[a.clone()]).to_string(),
-            Table6::build(&[a.clone()]).to_string(),
-            HopTable::table7(&[a.clone()]).to_string(),
-            Table8::build(&[a.clone()]).to_string(),
-            HopTable::table9(&[a.clone()]).to_string(),
-            Table11::build(&[a.clone()]).to_string(),
+            Table2::build(std::slice::from_ref(&a)).to_string(),
+            Table3::build(std::slice::from_ref(&a)).to_string(),
+            Table4::build(std::slice::from_ref(&a)).to_string(),
+            Table5::build(std::slice::from_ref(&a)).to_string(),
+            Table6::build(std::slice::from_ref(&a)).to_string(),
+            HopTable::table7(std::slice::from_ref(&a)).to_string(),
+            Table8::build(std::slice::from_ref(&a)).to_string(),
+            HopTable::table9(std::slice::from_ref(&a)).to_string(),
+            Table11::build(std::slice::from_ref(&a)).to_string(),
             Table13::build(&[a]).to_string(),
         ] {
             assert!(text.lines().count() >= 4, "table too short:\n{text}");

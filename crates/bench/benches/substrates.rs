@@ -7,8 +7,9 @@ use ipv6web_bgp::{routes_to_dest, BgpTable};
 use ipv6web_dns::{Resolver, ZoneDb, ZoneEntry};
 use ipv6web_netsim::{download_time, DataPlane, TcpConfig};
 use ipv6web_packet::{Icmpv6Message, Ipv4Header, Ipv6Header, TcpHeader, UdpHeader};
-use ipv6web_stats::derive_rng;
+use ipv6web_stats::{derive_rng, RngLabel};
 use ipv6web_topology::{generate, AsId, Family, Tier, TopologyConfig};
+use rand::RngCore;
 use std::hint::black_box;
 use std::net::{Ipv4Addr, Ipv6Addr};
 
@@ -115,9 +116,39 @@ fn bench_dns(c: &mut Criterion) {
     });
 }
 
+/// Deriving a probe's stream and reading from it: a probe that ends after
+/// DNS reads one `u64`, so the first-read cost is paid once per probe.
+fn bench_rng(c: &mut Criterion) {
+    // the probe's label shape, "{vantage}:probe:{week}:{salt}:{site}"
+    let label = |site: u32| {
+        RngLabel::new()
+            .push_str(black_box("Penn"))
+            .push_str(":probe:")
+            .push_u32(black_box(30))
+            .push_str(":")
+            .push_u32(black_box(0))
+            .push_str(":")
+            .push_u32(site)
+    };
+    let mut site = 0u32;
+    c.bench_function("rng_derive_first_u64", |b| {
+        b.iter(|| {
+            site = site.wrapping_add(1);
+            black_box(label(site).rng(black_box(42)).next_u64())
+        })
+    });
+    c.bench_function("rng_derive_64_words", |b| {
+        b.iter(|| {
+            site = site.wrapping_add(1);
+            let mut rng = label(site).rng(black_box(42));
+            black_box((0..64).fold(0u32, |acc, _| acc ^ rng.next_u32()))
+        })
+    });
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default();
-    targets = bench_packet, bench_routing, bench_dataplane, bench_dns
+    targets = bench_packet, bench_routing, bench_dataplane, bench_dns, bench_rng
 }
 criterion_main!(benches);

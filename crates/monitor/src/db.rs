@@ -314,9 +314,11 @@ mod tests {
 
     #[test]
     fn paired_weeks_intersects_families() {
-        let mut r = SiteRecord::default();
-        r.samples_v4 = vec![sample(1, 10.0), sample(2, 11.0), sample(4, 12.0)];
-        r.samples_v6 = vec![sample(2, 9.0), sample(3, 9.0), sample(4, 9.0)];
+        let r = SiteRecord {
+            samples_v4: vec![sample(1, 10.0), sample(2, 11.0), sample(4, 12.0)],
+            samples_v6: vec![sample(2, 9.0), sample(3, 9.0), sample(4, 9.0)],
+            ..SiteRecord::default()
+        };
         assert_eq!(r.paired_weeks(), vec![2, 4]);
     }
 
@@ -325,9 +327,11 @@ mod tests {
         // IPv6 Day databases stack every round's samples on one week; the
         // pairing must emit the week once per v4 sample, like the old
         // set-membership implementation did.
-        let mut r = SiteRecord::default();
-        r.samples_v4 = vec![sample(10, 10.0), sample(10, 11.0), sample(10, 12.0)];
-        r.samples_v6 = vec![sample(10, 9.0), sample(10, 9.5)];
+        let r = SiteRecord {
+            samples_v4: vec![sample(10, 10.0), sample(10, 11.0), sample(10, 12.0)],
+            samples_v6: vec![sample(10, 9.0), sample(10, 9.5)],
+            ..SiteRecord::default()
+        };
         assert_eq!(r.paired_weeks(), vec![10, 10, 10]);
     }
 

@@ -385,17 +385,19 @@ mod tests {
     #[test]
     fn spec_validates() {
         assert!(VantagePopulation::default().validate().is_ok());
-        let mut bad = VantagePopulation::default();
-        bad.count = 0;
+        let bad = VantagePopulation { count: 0, ..VantagePopulation::default() };
         assert!(bad.validate().is_err());
-        let mut bad = VantagePopulation::default();
-        bad.academic_share = 1.5;
+        let bad = VantagePopulation { academic_share: 1.5, ..VantagePopulation::default() };
         assert!(bad.validate().is_err());
-        let mut bad = VantagePopulation::default();
-        bad.regions = vec![(Region::Europe, -1.0)];
+        let bad = VantagePopulation {
+            regions: vec![(Region::Europe, -1.0)],
+            ..VantagePopulation::default()
+        };
         assert!(bad.validate().is_err());
-        let mut bad = VantagePopulation::default();
-        bad.stacks = vec![(ClientStack::V6Only, 0.0)];
+        let bad = VantagePopulation {
+            stacks: vec![(ClientStack::V6Only, 0.0)],
+            ..VantagePopulation::default()
+        };
         assert!(bad.validate().is_err(), "all-zero stack weights rejected");
     }
 

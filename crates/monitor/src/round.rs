@@ -25,7 +25,7 @@ use crate::probe::{probe_site, ProbeContext, ProbeOutcome};
 use crate::vantage::VantagePoint;
 use ipv6web_alexa::{MonitoredSet, TopList};
 use ipv6web_dns::Resolver;
-use ipv6web_stats::derive_rng;
+use ipv6web_stats::RngLabel;
 use ipv6web_web::SiteId;
 use rand::seq::SliceRandom;
 use serde::{Deserialize, Serialize};
@@ -309,11 +309,6 @@ fn apply_outcome(
     }
 }
 
-/// Runs one round's sites through the worker pool, returning `(site,
-/// outcome)` pairs sorted by site id so callers never observe completion
-/// order, plus the number of probes whose outcome never arrived (zero
-/// unless a worker died mid-round). `workers` must already be validated
-/// ([`CampaignConfig::validate`]).
 /// A v6-only monitor runs behind a DNS64 recursive; everything else keeps
 /// the plain resolver (and its byte-identical answer stream).
 fn resolver_for(ctx: &ProbeContext<'_>) -> Resolver {
@@ -324,14 +319,34 @@ fn resolver_for(ctx: &ProbeContext<'_>) -> Resolver {
     }
 }
 
+/// The round's probe order: a shuffle "to avoid time-of-day biases" of the
+/// positions `0..n` of the round's sites, drawn from the
+/// `{vantage}:order:{week}` stream. Fisher–Yates swaps depend only on the
+/// length and the stream, so `sites[order[k]]` is the `k`-th site of the
+/// same shuffle applied to the sites themselves.
+fn round_order(seed: u64, vantage: &str, week: u32, n: usize) -> Vec<u32> {
+    let n = u32::try_from(n).expect("u32 site ids bound the round size");
+    let mut order: Vec<u32> = (0..n).collect();
+    let mut rng = RngLabel::new().push_str(vantage).push_str(":order:").push_u32(week).rng(seed);
+    order.shuffle(&mut rng);
+    order
+}
+
+/// Probes `sites[order[0]], sites[order[1]], …` over the worker pool and
+/// returns each outcome at its site's position in `sites`, so callers never
+/// observe completion order. A slot stays `None` when its outcome never
+/// arrived (only a worker dying mid-round); the second value counts those
+/// lost probes. `order` is a permutation of `0..sites.len()`, and `workers`
+/// must already be validated ([`CampaignConfig::validate`]).
 fn run_pool(
     ctx: &ProbeContext<'_>,
     sites: &[SiteId],
+    order: &[u32],
     week: u32,
     salt: u32,
     ipv6_day_mode: bool,
     workers: usize,
-) -> (Vec<(SiteId, ProbeOutcome)>, usize) {
+) -> (Vec<Option<ProbeOutcome>>, usize) {
     // Two-level budget: the configured pool width is additionally clamped
     // to this thread's share of the global IPV6WEB_THREADS budget, so a
     // vantage-parallel study (campaign fan-out × per-round pool) never
@@ -340,25 +355,25 @@ fn run_pool(
     let workers = workers.min(sites.len().max(1)).min(ipv6web_par::allowance());
     ipv6web_obs::inc("monitor.rounds");
     ipv6web_obs::gauge_max("monitor.peak_workers", workers as u64);
+    let mut out: Vec<Option<ProbeOutcome>> = vec![None; sites.len()];
     if workers == 1 {
         let mut resolver = resolver_for(ctx);
-        let mut out: Vec<(SiteId, ProbeOutcome)> = sites
-            .iter()
-            .map(|&s| (s, probe_site(ctx, &mut resolver, s, week, salt, ipv6_day_mode)))
-            .collect();
-        out.sort_by_key(|(s, _)| s.0);
+        for &k in order {
+            let k = k as usize;
+            out[k] = Some(probe_site(ctx, &mut resolver, sites[k], week, salt, ipv6_day_mode));
+        }
         return (out, 0);
     }
 
     // Both channels are bounded to the worker count: the feeder blocks once
     // every worker has a site in flight, and workers block once the drain
     // thread falls behind — memory stays O(workers), not O(sites).
-    let (work_tx, work_rx) = crossbeam::channel::bounded::<SiteId>(workers);
-    let (res_tx, res_rx) = crossbeam::channel::bounded::<(SiteId, ProbeOutcome)>(workers);
-    let mut out = std::thread::scope(|scope| {
+    let (work_tx, work_rx) = crossbeam::channel::bounded::<u32>(workers);
+    let (res_tx, res_rx) = crossbeam::channel::bounded::<(u32, ProbeOutcome)>(workers);
+    std::thread::scope(|scope| {
         scope.spawn(move || {
-            for &s in sites {
-                if work_tx.send(s).is_err() {
+            for &k in order {
+                if work_tx.send(k).is_err() {
                     break; // all workers gone (only possible on panic)
                 }
             }
@@ -370,9 +385,10 @@ fn run_pool(
                 // each worker keeps its own caching resolver, like each of
                 // the paper's monitoring threads resolving independently
                 let mut resolver = resolver_for(ctx);
-                while let Ok(site) = work_rx.recv() {
+                while let Ok(k) = work_rx.recv() {
+                    let site = sites[k as usize];
                     let outcome = probe_site(ctx, &mut resolver, site, week, salt, ipv6_day_mode);
-                    if res_tx.send((site, outcome)).is_err() {
+                    if res_tx.send((k, outcome)).is_err() {
                         // drain side gone — stop probing, keep what arrived
                         break;
                     }
@@ -384,10 +400,11 @@ fn run_pool(
         }
         drop(res_tx);
         drop(work_rx);
-        res_rx.iter().collect::<Vec<_>>()
+        for (k, outcome) in res_rx.iter() {
+            out[k as usize] = Some(outcome);
+        }
     });
-    out.sort_by_key(|(s, _)| s.0);
-    let lost = sites.len().saturating_sub(out.len());
+    let lost = out.iter().filter(|o| o.is_none()).count();
     (out, lost)
 }
 
@@ -400,7 +417,6 @@ fn note_lost(db: &mut MonitorDb, week: u32, lost: usize) {
     }
 }
 
-/// Writes the per-round checkpoint, if a checkpoint directory was given.
 /// The checkpoint file a vantage point's campaign writes under `dir`:
 /// the vantage name lowercased with non-alphanumerics mapped to `_`,
 /// plus `.json`.
@@ -412,6 +428,7 @@ pub fn checkpoint_path(dir: &Path, vantage: &str) -> std::path::PathBuf {
     dir.join(format!("{slug}.json"))
 }
 
+/// Writes the per-round checkpoint, if a checkpoint directory was given.
 fn checkpoint(db: &MonitorDb, dir: Option<&Path>) -> Result<(), CampaignError> {
     let Some(dir) = dir else { return Ok(()) };
     let path = checkpoint_path(dir, &db.vantage);
@@ -549,15 +566,15 @@ pub fn run_campaign_resumable(
         if week < resume_from {
             continue; // already probed by the run being resumed
         }
-        // randomized order per round "to avoid time-of-day biases"
-        let mut order: Vec<SiteId> = monitored.members().map(SiteId).collect();
-        let mut rng = derive_rng(ctx.seed, &format!("{}:order:{week}", vantage.name));
-        order.shuffle(&mut rng);
-
-        let (results, lost) = run_pool(ctx, &order, week, 0, false, workers);
-        for (site, outcome) in results {
-            let added = monitored.added_week(site.0).unwrap_or(week);
-            apply_outcome(&mut db, site, added, week, outcome);
+        // probed in a fresh random order, applied in ascending site order
+        let members: Vec<SiteId> = monitored.members().map(SiteId).collect();
+        let order = round_order(ctx.seed, &vantage.name, week, members.len());
+        let (results, lost) = run_pool(ctx, &members, &order, week, 0, false, workers);
+        for (&site, outcome) in members.iter().zip(results) {
+            if let Some(outcome) = outcome {
+                let added = monitored.added_week(site.0).unwrap_or(week);
+                apply_outcome(&mut db, site, added, week, outcome);
+            }
         }
         note_lost(&mut db, week, lost);
         db.completed_weeks = week + 1;
@@ -578,10 +595,16 @@ pub fn run_ipv6_day_rounds(
 ) -> Result<MonitorDb, CampaignError> {
     cfg.validate()?;
     let mut db = MonitorDb::new(format!("{} (IPv6 Day)", vantage.name));
+    // participants are probed in the order given
+    let n = u32::try_from(participants.len()).expect("u32 site ids bound the participants");
+    let order: Vec<u32> = (0..n).collect();
     for round in 0..cfg.ipv6_day_rounds {
-        let (results, lost) = run_pool(ctx, participants, event_week, round + 1, true, cfg.workers);
-        for (site, outcome) in results {
-            apply_outcome(&mut db, site, event_week, event_week, outcome);
+        let (results, lost) =
+            run_pool(ctx, participants, &order, event_week, round + 1, true, cfg.workers);
+        for (&site, outcome) in participants.iter().zip(results) {
+            if let Some(outcome) = outcome {
+                apply_outcome(&mut db, site, event_week, event_week, outcome);
+            }
         }
         note_lost(&mut db, event_week, lost);
     }
@@ -723,6 +746,27 @@ mod tests {
         }
         assert!(db.round_errors.is_empty(), "healthy run loses nothing");
         assert_eq!(db.completed_weeks, cfg.total_weeks);
+    }
+
+    /// Shuffling positions and reading the sites through them gives the
+    /// very order that shuffling the site list itself gives.
+    #[test]
+    fn round_order_maps_to_the_shuffled_site_list() {
+        for seed in [0, 42, 7_777_777_777] {
+            for vantage in ["Penn", "TestVP", "VP-017"] {
+                for n in 0..=2000u32 {
+                    let week = n % 53;
+                    // ascending ids with gaps, like a monitored set's members
+                    let members: Vec<SiteId> = (0..n).map(|i| SiteId(3 * i + 1)).collect();
+                    let mut shuffled = members.clone();
+                    let label = format!("{vantage}:order:{week}");
+                    shuffled.shuffle(&mut ipv6web_stats::derive_rng(seed, &label));
+                    let order = round_order(seed, vantage, week, members.len());
+                    let mapped: Vec<SiteId> = order.iter().map(|&k| members[k as usize]).collect();
+                    assert_eq!(mapped, shuffled, "seed {seed}, {label}, n = {n}");
+                }
+            }
+        }
     }
 
     #[test]

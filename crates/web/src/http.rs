@@ -420,7 +420,7 @@ mod tests {
     fn read_deadline_cuts_off_a_dripped_body() {
         // headers arrive instantly; the promised body drips forever
         let mut wire = b"POST /jobs HTTP/1.1\r\nContent-Length: 100000\r\n\r\n".to_vec();
-        wire.extend(std::iter::repeat(b'x').take(100_000));
+        wire.extend(std::iter::repeat_n(b'x', 100_000));
         let mut drip =
             Drip { data: &wire, pos: 0, chunk: 64, delay: std::time::Duration::from_millis(1) };
         let deadline = Some(Instant::now() + std::time::Duration::from_millis(15));

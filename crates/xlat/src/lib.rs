@@ -399,9 +399,11 @@ mod tests {
         assert!(!cfg.is_active());
         assert_eq!(cfg.validate(), Ok(()));
         // roundtrip with a non-default block
-        let mut active = XlatConfig::default();
-        active.gateways = 3;
-        active.stacks.push(("Go6-Slovenia".to_string(), ClientStack::V6Only));
+        let active = XlatConfig {
+            gateways: 3,
+            stacks: vec![("Go6-Slovenia".to_string(), ClientStack::V6Only)],
+            ..XlatConfig::default()
+        };
         let json = serde_json::to_string(&active).unwrap();
         let back: XlatConfig = serde_json::from_str(&json).unwrap();
         assert_eq!(back, active);
@@ -411,11 +413,12 @@ mod tests {
 
     #[test]
     fn config_validation_rejects_nonsense() {
-        let mut cfg = XlatConfig::default();
-        cfg.extra_loss = 1.5;
+        let cfg = XlatConfig { extra_loss: 1.5, ..XlatConfig::default() };
         assert!(cfg.validate().is_err());
-        let mut stackless = XlatConfig::default();
-        stackless.stacks.push(("Go6-Slovenia".to_string(), ClientStack::V6Only));
+        let mut stackless = XlatConfig {
+            stacks: vec![("Go6-Slovenia".to_string(), ClientStack::V6Only)],
+            ..XlatConfig::default()
+        };
         let err = stackless.validate().unwrap_err();
         assert!(err.contains("no NAT64 gateway"), "{err}");
         stackless.gateways = 1;

@@ -1,10 +1,7 @@
 #!/usr/bin/env bash
-# Runs `cargo fmt` over every first-party workspace package.
-#
-# The package list is derived from `cargo metadata`, not hand-maintained:
-# vendored crates (vendor/*) keep their upstream formatting, and a newly
-# added ipv6web-* crate is picked up automatically instead of being
-# silently skipped.
+# Runs `cargo fmt` over every first-party workspace package
+# (tools/first-party-packages.sh); vendored crates keep their upstream
+# formatting.
 #
 # Usage: tools/ci-fmt.sh [--check]
 set -euo pipefail
@@ -18,19 +15,7 @@ elif [[ $# -gt 0 ]]; then
   exit 2
 fi
 
-pkgs=$(cargo metadata --format-version 1 --no-deps |
-  python3 -c '
-import json, sys
-meta = json.load(sys.stdin)
-names = sorted(p["name"] for p in meta["packages"] if p["name"].startswith("ipv6web"))
-print("\n".join(names))
-')
-
-if [[ -z "$pkgs" ]]; then
-  echo "ci-fmt: no ipv6web packages found in cargo metadata" >&2
-  exit 1
-fi
-
+pkgs=$(tools/first-party-packages.sh)
 args=()
 while IFS= read -r p; do
   args+=(-p "$p")
