@@ -56,9 +56,14 @@ fn bench_routing(c: &mut Criterion) {
     let vantage = topo.nodes().iter().find(|n| n.tier == Tier::Access).unwrap().id;
     let dests: Vec<AsId> =
         topo.nodes().iter().filter(|n| n.tier == Tier::Content).map(|n| n.id).take(50).collect();
+    let big = generate(&TopologyConfig::scaled(5000), 42);
+    let big_dest = big.nodes().iter().find(|n| n.tier == Tier::Content).unwrap().id;
     let mut g = c.benchmark_group("bgp");
     g.bench_function("routes_to_dest_1k_ases", |b| {
         b.iter(|| black_box(routes_to_dest(&topo, dest, Family::V4)))
+    });
+    g.bench_function("routes_to_dest_5k_ases", |b| {
+        b.iter(|| black_box(routes_to_dest(&big, big_dest, Family::V4)))
     });
     g.sample_size(10);
     g.bench_function("table_build_50_dests", |b| {
@@ -69,6 +74,12 @@ fn bench_routing(c: &mut Criterion) {
     c.bench_function("topology_generate_1k", |b| {
         b.iter(|| black_box(generate(&TopologyConfig::scaled(1000), 5)))
     });
+    let mut g = c.benchmark_group("topology");
+    g.sample_size(10);
+    g.bench_function("topology_generate_5k", |b| {
+        b.iter(|| black_box(generate(&TopologyConfig::scaled(5000), 42)))
+    });
+    g.finish();
 }
 
 fn bench_dataplane(c: &mut Criterion) {

@@ -17,6 +17,7 @@
 use ipv6web_bench::{check_regression, render_diff, BenchReport, Scale, DEFAULT_TOLERANCE};
 use ipv6web_core::{run_study_mode, ExecutionMode};
 use ipv6web_faults::FaultPlan;
+use std::path::Path;
 
 const ARTIFACTS: &[&str] = &[
     "fig1", "fig3a", "fig3b", "tab1", "tab2", "tab3", "tab4", "tab5", "tab6", "tab7", "tab8",
@@ -34,6 +35,47 @@ fn usage() -> ! {
         ARTIFACTS.join(" ")
     );
     std::process::exit(2)
+}
+
+/// Prints `repro: {msg}` and exits 2, the usage-error code.
+fn fail(msg: impl std::fmt::Display) -> ! {
+    eprintln!("repro: {msg}");
+    std::process::exit(2)
+}
+
+/// Why the output file `path` (given with `flag`) cannot be written: it is
+/// a directory, or its parent directory is missing or not a directory.
+fn check_output_file(flag: &str, path: &Path) -> Result<(), String> {
+    if path.is_dir() {
+        return Err(format!("{flag} {}: is a directory", path.display()));
+    }
+    match path.parent() {
+        Some(p) if !p.as_os_str().is_empty() && !p.is_dir() => Err(format!(
+            "{flag} {}: parent {} {}",
+            path.display(),
+            p.display(),
+            if p.exists() { "is not a directory" } else { "does not exist" }
+        )),
+        _ => Ok(()),
+    }
+}
+
+/// Why the CSV directory `dir` cannot be created: it, or its nearest
+/// existing ancestor, is not a directory.
+fn check_csv_dir(dir: &Path) -> Result<(), String> {
+    match dir.ancestors().find(|a| !a.as_os_str().is_empty() && a.exists()) {
+        Some(a) if !a.is_dir() => {
+            Err(format!("--csv {}: {} is not a directory", dir.display(), a.display()))
+        }
+        _ => Ok(()),
+    }
+}
+
+/// Writes `bytes` to `path`, exiting 2 with a message naming it on failure.
+fn write_or_exit(path: &Path, bytes: impl AsRef<[u8]>) {
+    if let Err(e) = std::fs::write(path, bytes) {
+        fail(format_args!("cannot write {}: {e}", path.display()));
+    }
 }
 
 fn main() {
@@ -111,33 +153,31 @@ fn main() {
     }
     let mut scenario = scale.scenario(seed);
     if let Some(path) = &fault_plan_path {
-        let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-            eprintln!("repro: cannot read fault plan {path}: {e}");
-            std::process::exit(2);
-        });
-        scenario.faults = serde_json::from_str::<FaultPlan>(&text).unwrap_or_else(|e| {
-            eprintln!("repro: cannot parse fault plan {path}: {e}");
-            std::process::exit(2);
-        });
+        let text = std::fs::read_to_string(path)
+            .unwrap_or_else(|e| fail(format_args!("cannot read fault plan {path}: {e}")));
+        scenario.faults = serde_json::from_str::<FaultPlan>(&text)
+            .unwrap_or_else(|e| fail(format_args!("cannot parse fault plan {path}: {e}")));
     }
     if checkpoint_dir.is_some() {
         scenario.checkpoint_dir = checkpoint_dir;
     }
-    // A typo'd --checkpoint-dir used to surface only at the first
-    // checkpoint write, after minutes of campaign work. Validate before
-    // doing anything expensive and fail with the usual exit code 2.
+    // A typo'd --checkpoint-dir or output path used to surface only at
+    // the first write, after minutes of study work. Validate before doing
+    // anything expensive and fail with the usual exit code 2.
     if let Some(dir) = &scenario.checkpoint_dir {
-        if let Err(e) = ipv6web_monitor::validate_checkpoint_dir(std::path::Path::new(dir)) {
-            eprintln!("repro: {e}");
-            std::process::exit(2);
+        ipv6web_monitor::validate_checkpoint_dir(Path::new(dir)).unwrap_or_else(|e| fail(e));
+    }
+    for (flag, path) in [("--json", &json_out), ("--metrics", &metrics_out)] {
+        if let Some(path) = path {
+            check_output_file(flag, Path::new(path)).unwrap_or_else(|e| fail(e));
         }
+    }
+    if let Some(dir) = &csv_dir {
+        check_csv_dir(Path::new(dir)).unwrap_or_else(|e| fail(e));
     }
     eprintln!("running study (scale {scale:?}, seed {seed}, {mode:?})...");
     let t0 = std::time::Instant::now();
-    let study = run_study_mode(&scenario, mode).unwrap_or_else(|e| {
-        eprintln!("repro: {e}");
-        std::process::exit(2);
-    });
+    let study = run_study_mode(&scenario, mode).unwrap_or_else(|e| fail(e));
     let wall_s = t0.elapsed().as_secs_f64();
     eprintln!("study complete in {wall_s:.1}s\n");
     eprint!("{}", study.timings.render());
@@ -185,7 +225,9 @@ fn main() {
     if let Some(dir) = csv_dir {
         use ipv6web_analysis::export;
         let dir = std::path::PathBuf::from(dir);
-        std::fs::create_dir_all(&dir).expect("create csv dir");
+        if let Err(e) = std::fs::create_dir_all(&dir) {
+            fail(format_args!("cannot create {}: {e}", dir.display()));
+        }
         let files = [
             ("fig1.csv", export::fig1_csv(&r.fig1)),
             ("fig3a.csv", export::fig3a_csv(&r.fig3a)),
@@ -198,7 +240,7 @@ fn main() {
             ("kept_sites.csv", export::kept_sites_csv(&study.analyses)),
         ];
         for (name, content) in files {
-            std::fs::write(dir.join(name), content).expect("write csv");
+            write_or_exit(&dir.join(name), content);
         }
         eprintln!("wrote CSVs to {}", dir.display());
     }
@@ -217,7 +259,7 @@ fn main() {
             }
         }
         let json = serde_json::to_string_pretty(&value).expect("report serializes");
-        std::fs::write(&path, json).expect("write json report");
+        write_or_exit(Path::new(&path), json);
         eprintln!("wrote JSON report to {path}");
     }
 
@@ -233,14 +275,14 @@ fn main() {
             &study.timings,
             &snap,
         );
-        std::fs::write(&path, bench.to_json()).expect("write bench metrics");
+        write_or_exit(Path::new(&path), bench.to_json());
         eprintln!("wrote bench metrics to {path}");
 
         if let Some(base_path) = baseline_path {
             let base_json = std::fs::read_to_string(&base_path)
-                .unwrap_or_else(|e| panic!("read baseline {base_path}: {e}"));
+                .unwrap_or_else(|e| fail(format_args!("cannot read baseline {base_path}: {e}")));
             let base = BenchReport::from_json(&base_json)
-                .unwrap_or_else(|e| panic!("parse baseline {base_path}: {e}"));
+                .unwrap_or_else(|e| fail(format_args!("cannot parse baseline {base_path}: {e}")));
             match check_regression(&bench, &base, DEFAULT_TOLERANCE) {
                 Ok(verdict) => eprintln!("bench gate: {verdict}"),
                 Err(verdict) => {

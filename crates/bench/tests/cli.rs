@@ -57,3 +57,39 @@ fn unknown_scale_still_exits_2() {
         assert!(stderr.contains(scale), "error must offer `{scale}`: {stderr}");
     }
 }
+
+#[test]
+fn unwritable_output_paths_fail_fast_with_exit_2() {
+    // An output path that cannot be written used to panic at the write,
+    // after the whole study had run. Each must now fail up front.
+    let tmp = std::env::temp_dir();
+    let file = tmp.join(format!("ipv6web-out-file-{}", std::process::id()));
+    std::fs::write(&file, b"in the way").unwrap();
+    let missing = tmp.join("ipv6web-no-such-parent").join("out.json");
+    assert!(!missing.parent().unwrap().exists(), "parent must not exist for this test");
+    let under_file = file.join("out.json");
+    let cases: [(&str, &std::path::Path, &str); 5] = [
+        ("--json", &missing, "does not exist"),
+        ("--json", &tmp, "is a directory"),
+        ("--metrics", &under_file, "is not a directory"),
+        ("--csv", &file, "is not a directory"),
+        ("--csv", &under_file, "is not a directory"),
+    ];
+    for (flag, path, why) in cases {
+        let out = repro().args(["all", flag, path.to_str().unwrap()]).output().expect("run repro");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{flag} {}: {stderr}", path.display());
+        assert!(
+            stderr.contains(flag)
+                && stderr.contains(path.to_str().unwrap())
+                && stderr.contains(why),
+            "expected a message naming {flag} {} ({why}), got: {stderr}",
+            path.display()
+        );
+        assert!(
+            !stderr.contains("running study") && out.stdout.is_empty(),
+            "validation must happen before the study starts: {stderr}"
+        );
+    }
+    std::fs::remove_file(&file).ok();
+}

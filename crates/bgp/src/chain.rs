@@ -1,9 +1,10 @@
 //! The route pipeline: every destination streamed through every routing
 //! epoch.
 //!
-//! [`routes_to_dest`] is the expensive step of table construction, and its
+//! Route computation is the expensive step of table construction, and its
 //! result is vantage-independent. [`RouteChain::start`] runs it once per
-//! destination, keeps only the vantage points' rows and drops the
+//! destination, over one [`RouteGraph`] that every worker thread shares,
+//! keeps only the vantage points' rows and drops the
 //! ~`13 bytes × |ASes|` computation, so memory peaks at one in-flight
 //! computation per worker thread even at the internet tier's ~37k ASes.
 //! Before the drop it records the first routing event that can change the
@@ -13,7 +14,7 @@
 //! `ipv6web_par::par_map` preserves input order, so every table is
 //! bit-identical regardless of worker count.
 
-use crate::compute::{routes_to_dest, RoutesToDest};
+use crate::compute::{RouteGraph, RoutesToDest};
 use crate::table::BgpTable;
 use ipv6web_topology::{AsId, EdgeId, Family, Topology};
 use std::collections::BTreeSet;
@@ -145,9 +146,10 @@ impl RouteChain {
                     .collect(),
             })
             .collect();
+        let graph = RouteGraph::new(topo, family);
         let (rows, stale_from): (Vec<Row>, Vec<Option<usize>>) =
             ipv6web_par::par_map(&dests, |_, &dest| {
-                let r = routes_to_dest(topo, dest, family);
+                let r = graph.routes_to(dest);
                 (Row::extract(&r, vantages), first_change(&events, 0, &r))
             })
             .into_iter()
@@ -171,13 +173,15 @@ impl RouteChain {
     /// `bgp.epoch.recomputed`.
     pub fn epoch_tables(&self, topos: &[Topology]) -> Vec<Vec<BgpTable>> {
         assert_eq!(topos.len(), self.events.len(), "one topology per event");
+        let graphs: Vec<RouteGraph> =
+            topos.iter().map(|t| RouteGraph::new(t, self.family)).collect();
         // per destination, its recomputations `(event, row)` in event order
         let redone: Vec<Vec<(usize, Row)>> =
             ipv6web_par::par_map(&self.stale_from, |di, &first| {
                 let mut out = Vec::new();
                 let mut next = first;
                 while let Some(k) = next {
-                    let r = routes_to_dest(&topos[k], self.dests[di], self.family);
+                    let r = graphs[k].routes_to(self.dests[di]);
                     next = first_change(&self.events, k + 1, &r);
                     out.push((k, Row::extract(&r, &self.vantages)));
                 }

@@ -1,7 +1,8 @@
 //! Per-destination Gao–Rexford route computation.
 //!
-//! For one destination AS and one address family, [`routes_to_dest`] computes
-//! the best policy-compliant route *from every AS* in three phases:
+//! For one destination AS and one address family, [`RouteGraph::routes_to`]
+//! computes the best policy-compliant route *from every AS* in three
+//! phases:
 //!
 //! 1. **Customer routes** — BFS from the destination "up" provider edges:
 //!    an AS learns a customer route when a customer of its announces the
@@ -9,16 +10,20 @@
 //! 2. **Peer routes** — each AS adjacent (via a peer edge) to an AS with a
 //!    customer route (or to the destination itself) learns a peer route.
 //!    Peer routes are only exported to customers.
-//! 3. **Provider routes** — Dijkstra-style propagation "down" customer
-//!    edges: a provider exports its best route (of any kind) to customers.
+//! 3. **Provider routes** — propagation "down" customer edges in ascending
+//!    hop count: a provider exports its best route (of any kind) to
+//!    customers.
 //!
-//! Selection follows BGP decision order: local preference (customer > peer
-//! > provider), then shortest AS path, then lowest next-hop AS id.
+//! Selection follows BGP decision order: local preference (customer >
+//! peer > provider), then shortest AS path, then lowest next-hop AS id.
+//! Among parallel edges to the same next hop, the first one listed wins.
+//!
+//! A [`RouteGraph`] splits one family's adjacency by relationship once, so
+//! each phase walks only the edges it uses; [`routes_to_dest`] is the
+//! one-destination shorthand.
 
 use crate::path::AsPath;
 use ipv6web_topology::{AsId, EdgeId, Family, Relationship, Topology};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 
 /// How a route was learned — BGP local preference order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -39,6 +44,13 @@ struct Entry {
     hops: u32,
     /// Next hop toward the destination and the edge used.
     next: Option<(AsId, EdgeId)>,
+}
+
+impl Entry {
+    /// The selection key [`better`] compares: kind, hops, next-hop id.
+    fn key(&self) -> (RouteKind, u32, u32) {
+        (self.kind, self.hops, self.next.map_or(u32::MAX, |(a, _)| a.0))
+    }
 }
 
 /// `kind` column sentinel for "no route at this AS".
@@ -193,112 +205,141 @@ fn better(cand: (RouteKind, u32, u32), inc: (RouteKind, u32, u32)) -> bool {
     cand < inc
 }
 
-/// Computes best routes from all ASes to `dest` over the `family` subgraph.
+/// Offers `cand` to AS `at`, installing it when `at` has no route or `cand`
+/// is strictly [`better`]. Returns whether `at` had no route before.
+fn offer(entries: &mut [Option<Entry>], at: AsId, cand: Entry) -> bool {
+    let slot = &mut entries[at.index()];
+    match slot {
+        None => {
+            *slot = Some(cand);
+            true
+        }
+        Some(inc) => {
+            if better(cand.key(), inc.key()) {
+                *inc = cand;
+            }
+            false
+        }
+    }
+}
+
+/// Link classes of a [`RouteGraph`], seen from the AS they belong to.
+const PROVIDERS: usize = 0;
+const PEERS: usize = 1;
+const CUSTOMERS: usize = 2;
+
+/// One family's adjacency split by business relationship: per AS, its
+/// providers, peers and customers, each in [`Topology::neighbors`] order,
+/// packed into one compressed array.
+///
+/// Build it once per topology and family, then route any number of
+/// destinations over it (it is read-only, so worker threads can share it).
+#[derive(Debug)]
+pub struct RouteGraph {
+    family: Family,
+    /// AS `x`'s class-`c` links span `starts[3x + c]..starts[3x + c + 1]`
+    /// in `links`.
+    starts: Vec<u32>,
+    links: Vec<(AsId, EdgeId)>,
+}
+
+impl RouteGraph {
+    /// Splits `topo`'s `family` adjacency by relationship.
+    pub fn new(topo: &Topology, family: Family) -> RouteGraph {
+        let mut starts = Vec::with_capacity(3 * topo.num_ases() + 1);
+        let mut links = Vec::new();
+        starts.push(0);
+        for node in topo.nodes() {
+            let nbrs = topo.neighbors(node.id, family);
+            // relationships from the AS's own view, in class order
+            for rel in [Relationship::CustomerOf, Relationship::Peer, Relationship::ProviderOf] {
+                links.extend(nbrs.iter().filter(|&&(_, r, _)| r == rel).map(|&(a, _, e)| (a, e)));
+                starts.push(u32::try_from(links.len()).expect("link count fits u32"));
+            }
+        }
+        RouteGraph { family, starts, links }
+    }
+
+    fn links(&self, x: AsId, class: usize) -> &[(AsId, EdgeId)] {
+        let i = 3 * x.index() + class;
+        &self.links[self.starts[i] as usize..self.starts[i + 1] as usize]
+    }
+
+    /// Computes best routes from all ASes to `dest`.
+    pub fn routes_to(&self, dest: AsId) -> RoutesToDest {
+        ipv6web_obs::inc("bgp.routes_computed");
+        let n = self.starts.len() / 3; // three classes per AS, plus one
+        let mut entries: Vec<Option<Entry>> = vec![None; n];
+        entries[dest.index()] = Some(Entry { kind: RouteKind::Customer, hops: 0, next: None });
+        let hops_at = |entries: &[Option<Entry>], x: AsId| entries[x.index()].expect("routed").hops;
+
+        // Phase 1: customer routes — BFS from dest up provider edges. The
+        // queue holds every customer-route holder, in ascending hops.
+        let mut holders = vec![dest];
+        let mut i = 0;
+        while i < holders.len() {
+            let x = holders[i];
+            let hops = hops_at(&entries, x) + 1;
+            for &(p, eid) in self.links(x, PROVIDERS) {
+                let cand = Entry { kind: RouteKind::Customer, hops, next: Some((x, eid)) };
+                if offer(&mut entries, p, cand) {
+                    holders.push(p);
+                }
+            }
+            i += 1;
+        }
+
+        // Phase 2: peer routes — one peer edge off a customer route. Two
+        // holders never make equal offers, so their order does not matter.
+        for &x in &holders {
+            let hops = hops_at(&entries, x) + 1;
+            for &(q, eid) in self.links(x, PEERS) {
+                offer(&mut entries, q, Entry { kind: RouteKind::Peer, hops, next: Some((x, eid)) });
+            }
+        }
+
+        // Phase 3: provider routes — down customer edges from every routed
+        // AS, one hop-count bucket at a time. An AS's offer depends only on
+        // its hops and id, and hops never change once set here (offers only
+        // come from buckets at or past the current one), so each AS is
+        // processed once, after every AS with fewer hops.
+        let mut buckets: Vec<Vec<AsId>> = Vec::new();
+        for (x, e) in entries.iter().enumerate() {
+            if let Some(e) = e {
+                let h = e.hops as usize;
+                if buckets.len() <= h {
+                    buckets.resize_with(h + 1, Vec::new);
+                }
+                buckets[h].push(AsId(x as u32));
+            }
+        }
+        let mut h = 0;
+        while h < buckets.len() {
+            let bucket = std::mem::take(&mut buckets[h]);
+            let hops = h as u32 + 1;
+            for &u in &bucket {
+                debug_assert_eq!(hops_at(&entries, u) + 1, hops);
+                for &(c, eid) in self.links(u, CUSTOMERS) {
+                    let cand = Entry { kind: RouteKind::Provider, hops, next: Some((u, eid)) };
+                    if offer(&mut entries, c, cand) {
+                        if buckets.len() == h + 1 {
+                            buckets.push(Vec::new());
+                        }
+                        buckets[h + 1].push(c);
+                    }
+                }
+            }
+            h += 1;
+        }
+
+        RoutesToDest::from_entries(dest, self.family, &entries)
+    }
+}
+
+/// Computes best routes from all ASes to `dest` over the `family` subgraph,
+/// building a [`RouteGraph`] for this one call.
 pub fn routes_to_dest(topo: &Topology, dest: AsId, family: Family) -> RoutesToDest {
-    ipv6web_obs::inc("bgp.routes_computed");
-    let n = topo.num_ases();
-    let mut entries: Vec<Option<Entry>> = vec![None; n];
-    entries[dest.index()] = Some(Entry { kind: RouteKind::Customer, hops: 0, next: None });
-
-    // Phase 1: customer routes — BFS from dest along provider edges
-    // (from node x to x's providers).
-    let mut frontier = vec![dest];
-    while !frontier.is_empty() {
-        let mut next_frontier: Vec<AsId> = Vec::new();
-        for &x in &frontier {
-            let x_hops = entries[x.index()].expect("frontier has entry").hops;
-            for &(nbr, rel, eid) in topo.neighbors(x, family) {
-                // x sees nbr as its provider => rel (from x's view) == CustomerOf
-                if rel != Relationship::CustomerOf {
-                    continue;
-                }
-                let cand = (RouteKind::Customer, x_hops + 1, x.0);
-                let take = match entries[nbr.index()] {
-                    None => true,
-                    Some(e) => {
-                        let inc_next = e.next.map_or(u32::MAX, |(a, _)| a.0);
-                        better(cand, (e.kind, e.hops, inc_next))
-                    }
-                };
-                if take {
-                    let first_time = entries[nbr.index()].is_none();
-                    entries[nbr.index()] = Some(Entry {
-                        kind: RouteKind::Customer,
-                        hops: x_hops + 1,
-                        next: Some((x, eid)),
-                    });
-                    if first_time {
-                        next_frontier.push(nbr);
-                    }
-                }
-            }
-        }
-        frontier = next_frontier;
-    }
-
-    // Phase 2: peer routes — one peer edge off a customer route.
-    let customer_holders: Vec<AsId> = (0..n as u32)
-        .map(AsId)
-        .filter(|a| matches!(entries[a.index()], Some(e) if e.kind == RouteKind::Customer))
-        .collect();
-    for &x in &customer_holders {
-        let x_hops = entries[x.index()].expect("holder").hops;
-        for &(nbr, rel, eid) in topo.neighbors(x, family) {
-            if rel != Relationship::Peer {
-                continue;
-            }
-            let cand = (RouteKind::Peer, x_hops + 1, x.0);
-            let take = match entries[nbr.index()] {
-                None => true,
-                Some(e) => {
-                    let inc_next = e.next.map_or(u32::MAX, |(a, _)| a.0);
-                    better(cand, (e.kind, e.hops, inc_next))
-                }
-            };
-            if take {
-                entries[nbr.index()] =
-                    Some(Entry { kind: RouteKind::Peer, hops: x_hops + 1, next: Some((x, eid)) });
-            }
-        }
-    }
-
-    // Phase 3: provider routes — Dijkstra down customer edges. Sources are
-    // all ASes holding customer or peer routes; anything they reach through
-    // "provider exports to customer" becomes a provider route.
-    let mut heap: BinaryHeap<Reverse<(u32, u32, u32)>> = BinaryHeap::new(); // (hops, next_id, node)
-    for (i, entry) in entries.iter().enumerate().take(n) {
-        if let Some(e) = entry {
-            heap.push(Reverse((e.hops, e.next.map_or(0, |(a, _)| a.0), i as u32)));
-        }
-    }
-    while let Some(Reverse((hops, _, u))) = heap.pop() {
-        let u = AsId(u);
-        let Some(eu) = entries[u.index()] else { continue };
-        if eu.hops != hops {
-            continue; // stale heap entry
-        }
-        for &(nbr, rel, eid) in topo.neighbors(u, family) {
-            // u exports to its customers: rel from u's view == ProviderOf
-            if rel != Relationship::ProviderOf {
-                continue;
-            }
-            let cand = (RouteKind::Provider, hops + 1, u.0);
-            let take = match entries[nbr.index()] {
-                None => true,
-                Some(e) => {
-                    let inc_next = e.next.map_or(u32::MAX, |(a, _)| a.0);
-                    better(cand, (e.kind, e.hops, inc_next))
-                }
-            };
-            if take {
-                entries[nbr.index()] =
-                    Some(Entry { kind: RouteKind::Provider, hops: hops + 1, next: Some((u, eid)) });
-                heap.push(Reverse((hops + 1, u.0, nbr.0)));
-            }
-        }
-    }
-
-    RoutesToDest::from_entries(dest, family, &entries)
+    RouteGraph::new(topo, family).routes_to(dest)
 }
 
 /// Checks valley-freeness of a path: zero or more "up" (customer→provider)

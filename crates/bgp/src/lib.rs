@@ -26,7 +26,7 @@ pub mod path;
 pub mod table;
 
 pub use chain::{Flips, RouteChain};
-pub use compute::{routes_to_dest, RouteKind, RoutesToDest};
+pub use compute::{routes_to_dest, RouteGraph, RouteKind, RoutesToDest};
 pub use dump::{dump, parse_dump, DumpParseError};
 pub use path::{AsPath, AsPathRef};
 pub use table::{BgpTable, RouteRef};

@@ -586,6 +586,17 @@ mod tests {
     }
 
     #[test]
+    fn fewer_transit_ases_than_cdn_providers_build() {
+        // A CDN buys transit from 5–10 providers, capped at the transit
+        // tier's size: three transit ASes validate, so they must build.
+        let mut s = Scenario::quick(3);
+        s.topology.n_transit = 3;
+        let w = World::try_build(&s).expect("a valid scenario builds");
+        assert_eq!(w.topo.num_ases(), s.topology.total());
+        assert_eq!(w.tables.len(), 6);
+    }
+
+    #[test]
     fn population_world_builds_generated_vantages() {
         let mut s = Scenario::quick(11);
         s.topology = ipv6web_topology::TopologyConfig::scaled(700);

@@ -10,7 +10,7 @@
 
 use crate::asys::{AsId, AsNode, IdOverflow, Region, Tier, V6Profile};
 use crate::dualstack::DualStackConfig;
-use crate::graph::{Family, Topology, TunnelInfo};
+use crate::graph::{Topology, TunnelInfo};
 use crate::link::LinkProps;
 use crate::relationship::Relationship;
 use ipv6web_stats::{coin, derive_rng, lognormal};
@@ -250,7 +250,7 @@ pub fn try_generate(config: &TopologyConfig, seed: u64) -> Result<Topology, IdOv
         let n_providers = match nodes[i].tier {
             // CDNs are massively multihomed — their edges sit inside many
             // transit providers, so most eyeballs reach them in two AS hops
-            Tier::Cdn => rng.gen_range(5..=10.min(config.n_transit)),
+            Tier::Cdn => rng.gen_range(5.min(config.n_transit)..=10.min(config.n_transit)),
             _ => rng.gen_range(1..=2.min(config.n_transit)),
         };
         let candidates: Vec<usize> = (transit_start..transit_end).collect();
@@ -408,6 +408,12 @@ fn link_props<R: Rng>(rng: &mut R, a: &AsNode, b: &AsNode) -> LinkProps {
 /// carry IPv6 — or with a **6in4 tunnel** to a random dual-stack tier-1
 /// "tunnel broker", with `tunnel_prob` deciding between the two. Tunnels
 /// carry the hidden-hop and extra-delay metadata that drives Table 7.
+///
+/// Stranded ASes are fixed lowest index first. The uplinked set (everything
+/// below a dual tier-1 along v6 provider→customer edges) only grows, so it
+/// is kept up to date as fixes land instead of being recomputed, and the
+/// scan for the next stranded AS never moves back: every AS below the one
+/// just fixed is already uplinked or not dual-stack.
 fn stitch_v6_islands<R: Rng>(
     rng: &mut R,
     nodes: &[AsNode],
@@ -423,70 +429,43 @@ fn stitch_v6_islands<R: Rng>(
         return; // no dual tier-1 => degenerate world, nothing to anchor to
     }
 
-    // uplinked = can reach a dual tier-1 via v6 CustomerOf chain.
-    let compute_uplinked = |edges: &Vec<ProtoEdge>| -> Vec<bool> {
-        let mut uplinked = vec![false; nodes.len()];
-        for &r in &relays {
-            uplinked[r] = true;
+    // Each provider's v6 customers, and each AS's v4-only provider edges
+    // (its native upgrade candidates) in edge order.
+    let mut v6_customers: Vec<Vec<usize>> = vec![Vec::new(); nodes.len()];
+    let mut v4_uplinks: Vec<Vec<usize>> = vec![Vec::new(); nodes.len()];
+    for (i, e) in edges.iter().enumerate() {
+        let Some((cust, prov)) = customer_provider(e) else { continue };
+        if e.v6 {
+            v6_customers[prov].push(cust);
+        } else if e.v4 {
+            v4_uplinks[cust].push(i);
         }
-        // Providers have strictly lower indices by construction, so a single
-        // ascending-order fixpoint loop converges quickly.
-        loop {
-            let mut changed = false;
-            for e in edges.iter() {
-                if !e.v6 {
-                    continue;
-                }
-                // e.rel_a is from a's perspective.
-                let (cust, prov) = match e.rel_a {
-                    Relationship::CustomerOf => (e.a.index(), e.b.index()),
-                    Relationship::ProviderOf => (e.b.index(), e.a.index()),
-                    Relationship::Peer => continue,
-                };
-                if uplinked[prov] && !uplinked[cust] {
-                    uplinked[cust] = true;
-                    changed = true;
-                }
-            }
-            if !changed {
-                break;
-            }
+    }
+    // uplinked = can reach a dual tier-1 via a v6 CustomerOf chain.
+    let mut uplinked = vec![false; nodes.len()];
+    for &r in &relays {
+        mark_uplinked(r, &v6_customers, &mut uplinked);
+    }
+
+    for u in 0..nodes.len() {
+        if !nodes[u].is_dual_stack() || uplinked[u] {
+            continue;
         }
-        uplinked
-    };
-
-    loop {
-        let uplinked = compute_uplinked(edges);
-        // Lowest-index stranded dual AS first: its dual providers are all
-        // lower-index, hence already uplinked — every fix makes progress.
-        let Some(u) = (0..nodes.len()).find(|&u| nodes[u].is_dual_stack() && !uplinked[u]) else {
-            break;
-        };
-
-        let mut fixed = false;
+        let mut provider = None;
         if !coin(rng, d.tunnel_prob) {
             // Native upgrade: one of u's v4 provider edges toward a
             // dual-stack uplinked provider starts carrying IPv6.
-            let mut candidates: Vec<usize> = Vec::new();
-            for (i, e) in edges.iter().enumerate() {
-                if !e.v4 || e.v6 {
-                    continue;
-                }
-                let (cust, prov) = match e.rel_a {
-                    Relationship::CustomerOf => (e.a.index(), e.b.index()),
-                    Relationship::ProviderOf => (e.b.index(), e.a.index()),
-                    Relationship::Peer => continue,
-                };
-                if cust == u && nodes[prov].is_dual_stack() && uplinked[prov] {
-                    candidates.push(i);
-                }
-            }
-            if let Some(&i) = candidates.choose(rng) {
+            let candidates: Vec<(usize, usize)> = v4_uplinks[u]
+                .iter()
+                .map(|&i| (i, customer_provider(&edges[i]).expect("a provider edge").1))
+                .filter(|&(i, prov)| !edges[i].v6 && nodes[prov].is_dual_stack() && uplinked[prov])
+                .collect();
+            if let Some(&(i, prov)) = candidates.choose(rng) {
                 edges[i].v6 = true;
-                fixed = true;
+                provider = Some(prov);
             }
         }
-        if !fixed {
+        let provider = provider.unwrap_or_else(|| {
             // 6in4 tunnel to a broker. Real 2011 tunnel brokers (Hurricane
             // Electric and friends) sat at a handful of very well-connected
             // transit providers, which is what makes tunneled IPv6 paths
@@ -519,14 +498,47 @@ fn stitch_v6_islands<R: Rng>(
                     extra_delay_ms: rng.gen_range(20.0..80.0),
                 }),
             });
+            relay
+        });
+        // u now hangs below an uplinked provider, and so does every v6
+        // customer below u.
+        v6_customers[provider].push(u);
+        mark_uplinked(u, &v6_customers, &mut uplinked);
+    }
+}
+
+/// `(customer, provider)` indices of a provider edge; `None` for peering.
+fn customer_provider(e: &ProtoEdge) -> Option<(usize, usize)> {
+    // e.rel_a is from a's perspective.
+    match e.rel_a {
+        Relationship::CustomerOf => Some((e.a.index(), e.b.index())),
+        Relationship::ProviderOf => Some((e.b.index(), e.a.index())),
+        Relationship::Peer => None,
+    }
+}
+
+/// Marks `root` and everything below it along `v6_customers` as uplinked,
+/// stopping at ASes already marked (their customers are marked too).
+fn mark_uplinked(root: usize, v6_customers: &[Vec<usize>], uplinked: &mut [bool]) {
+    if uplinked[root] {
+        return;
+    }
+    uplinked[root] = true;
+    let mut stack = vec![root];
+    while let Some(p) = stack.pop() {
+        for &c in &v6_customers[p] {
+            if !uplinked[c] {
+                uplinked[c] = true;
+                stack.push(c);
+            }
         }
     }
-    let _ = Family::V6; // family used by callers; silence unused-import lint paths
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::graph::Family;
 
     fn small() -> Topology {
         generate(&TopologyConfig::test_small(), 42)
@@ -689,5 +701,45 @@ mod tests {
         let mut cfg = TopologyConfig::test_small();
         cfg.transit_peer_prob = 2.0;
         assert!(cfg.validate().is_err());
+    }
+
+    #[test]
+    fn smallest_scaled_configs_generate() {
+        // below 5 transit ASes a CDN multihomes to every transit AS
+        for n in 30..=60 {
+            for seed in [1, 42] {
+                let cfg = TopologyConfig::scaled(n);
+                let t = generate(&cfg, seed);
+                assert_eq!(t.num_ases(), n);
+                assert!(t.is_connected(Family::V4), "scaled({n}) seed {seed}");
+            }
+        }
+    }
+
+    /// FNV-1a 64 of the topology's JSON form.
+    fn digest(t: &Topology) -> String {
+        let json = serde_json::to_string(t).expect("topology serializes");
+        let h = json.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        });
+        format!("{h:016x}")
+    }
+
+    #[test]
+    fn generated_topologies_match_golden_digests() {
+        // Every random draw, edge and tunnel of the generator is pinned:
+        // a change to any of them changes these digests.
+        let cases = [
+            (TopologyConfig::test_small(), 42, "524220cff551bf02"),
+            (TopologyConfig::test_small(), 7, "5f0bd81819b9a70d"),
+            (TopologyConfig::test_small(), 1, "77fc6bf1c48a3e5d"),
+            (TopologyConfig::scaled(2000), 42, "53ac82339ef0b81a"),
+            (TopologyConfig::scaled(2000), 7, "483885a4dee5d00e"),
+            (TopologyConfig::paper_scale(), 42, "f68b77fe19b43712"),
+            (TopologyConfig::scaled(5000), 42, "7c114c3f46520ee4"),
+        ];
+        for (cfg, seed, want) in cases {
+            assert_eq!(digest(&generate(&cfg, seed)), want, "{} ASes, seed {seed}", cfg.total());
+        }
     }
 }
