@@ -1,10 +1,12 @@
 //! Microbenchmarks of the substrates the study is built on: wire codecs,
 //! route computation, the TCP model, DNS resolution, topology generation,
-//! and a single end-to-end site probe.
+//! and one weekly round of end-to-end site probes.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use ipv6web_bgp::{routes_to_dest, BgpTable};
+use ipv6web_core::{Scenario, World};
 use ipv6web_dns::{Resolver, ZoneDb, ZoneEntry};
+use ipv6web_monitor::{run_campaign, CampaignConfig};
 use ipv6web_netsim::{download_time, DataPlane, TcpConfig};
 use ipv6web_packet::{Icmpv6Message, Ipv4Header, Ipv6Header, TcpHeader, UdpHeader};
 use ipv6web_stats::{derive_rng, RngLabel};
@@ -157,9 +159,38 @@ fn bench_rng(c: &mut Criterion) {
     });
 }
 
+/// One weekly round of vantage 0 at its start week, single-worker, through
+/// `run_campaign`: list ingest, the shuffled order, every probe and the
+/// database updates. `internet-smoke`'s 42,219 sites outgrow the caches;
+/// `panel`'s 706 stay resident.
+fn bench_round(c: &mut Criterion) {
+    let mut g = c.benchmark_group("round");
+    g.sample_size(10);
+    for (name, scenario) in [
+        ("round_internet_smoke", Scenario::internet_smoke(42)),
+        ("round_panel", Scenario::panel(42)),
+    ] {
+        let world = World::build(&scenario);
+        let vantage = &world.vantages[0];
+        let ctx = world.probe_ctx(0, None);
+        let cfg =
+            CampaignConfig { total_weeks: vantage.start_week + 1, workers: 1, ..scenario.campaign };
+        let first_seen = |id: u32| world.sites[id as usize].first_seen_week;
+        g.bench_function(name, |b| {
+            b.iter(|| {
+                black_box(
+                    run_campaign(&ctx, vantage, &world.list, &world.tail_ids, first_seen, &cfg)
+                        .unwrap(),
+                )
+            })
+        });
+    }
+    g.finish();
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default();
-    targets = bench_packet, bench_routing, bench_dataplane, bench_dns, bench_rng
+    targets = bench_packet, bench_routing, bench_dataplane, bench_dns, bench_rng, bench_round
 }
 criterion_main!(benches);

@@ -292,6 +292,22 @@ impl Scenario {
         if !(0.0..1.0).contains(&self.identity_threshold) {
             return Err("identity threshold outside [0,1)".into());
         }
+        // site ids (and ranks, id + 1) are u32; a larger population would
+        // abort on its allocation before the generator's own id check
+        let (n_sites, tail_sites) = (self.population.n_sites, self.tail_sites);
+        if n_sites.checked_add(tail_sites).is_none_or(|total| total > u32::MAX as usize) {
+            return Err(format!(
+                "population.n_sites ({n_sites}) + tail_sites ({tail_sites}) exceeds the \
+                 {} site ids available",
+                u32::MAX
+            ));
+        }
+        if self.round_noise_sigma.is_nan() {
+            return Err("round_noise_sigma is NaN".into());
+        }
+        if self.population.hosting_zipf_exponent.is_nan() {
+            return Err("population.hosting_zipf_exponent is NaN".into());
+        }
         if let Some((week, gain, loss)) = self.route_change {
             if week == 0 || week >= self.timeline.total_weeks {
                 return Err("route-change epoch must fall inside the campaign".into());
@@ -416,6 +432,33 @@ mod tests {
         let mut s = Scenario::quick(1);
         s.campaign.total_weeks += 1;
         assert!(s.validate().is_err());
+    }
+
+    #[test]
+    fn site_count_beyond_the_id_space_rejected() {
+        let mut s = Scenario::quick(1);
+        s.tail_sites = 5_000_000_000;
+        let err = s.validate().unwrap_err();
+        assert!(err.contains("population.n_sites (2500)"), "{err}");
+        assert!(err.contains("tail_sites (5000000000)"), "{err}");
+        // a sum that overflows usize is rejected, not wrapped
+        s.tail_sites = usize::MAX;
+        assert!(s.validate().unwrap_err().contains("site ids"));
+        // the last id-space-sized population still validates
+        s.tail_sites = u32::MAX as usize - s.population.n_sites;
+        assert_eq!(s.validate(), Ok(()));
+        s.tail_sites += 1;
+        assert!(s.validate().is_err());
+    }
+
+    #[test]
+    fn nan_noise_and_zipf_exponent_rejected() {
+        let mut s = Scenario::quick(1);
+        s.round_noise_sigma = f64::NAN;
+        assert!(s.validate().unwrap_err().contains("round_noise_sigma"));
+        let mut s = Scenario::quick(1);
+        s.population.hosting_zipf_exponent = f64::NAN;
+        assert!(s.validate().unwrap_err().contains("hosting_zipf_exponent"));
     }
 
     #[test]

@@ -237,6 +237,12 @@ mod tests {
         assert!(body.contains("galactic"), "{body}");
         let (status, _) = get(&daemon, "POST", "/jobs", "not json at all");
         assert_eq!(status, 400);
+        let mut huge = ipv6web_core::Scenario::quick(1);
+        huge.tail_sites = 5_000_000_000;
+        let body = format!("{{\"scenario\": {}}}", serde_json::to_string(&huge).unwrap());
+        let (status, body) = get(&daemon, "POST", "/jobs", &body);
+        assert_eq!(status, 400, "{body}");
+        assert!(body.contains("tail_sites"), "{body}");
     }
 
     #[test]

@@ -241,6 +241,20 @@ mod tests {
     }
 
     #[test]
+    fn oversized_inline_site_count_is_rejected() {
+        // the population this asks for would abort the daemon on its
+        // allocation, so it must never reach the job store
+        let mut huge = Scenario::quick(1);
+        huge.tail_sites = 5_000_000_000;
+        let json = serde_json::to_string(&huge).unwrap();
+        assert!(json.contains("\"tail_sites\":5000000000"), "{json}");
+        let spec: JobSpec = serde_json::from_str(&format!("{{\"scenario\": {json}}}")).unwrap();
+        let err = spec.resolve().unwrap_err();
+        assert!(err.contains("invalid scenario"), "{err}");
+        assert!(err.contains("tail_sites (5000000000)"), "{err}");
+    }
+
+    #[test]
     fn fault_plan_overlay_applies() {
         let plan = Scenario::faults(1).faults;
         assert!(!plan.is_empty());

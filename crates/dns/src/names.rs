@@ -101,6 +101,19 @@ impl NameTable {
         &self.bytes[self.offsets[i] as usize..self.offsets[i + 1] as usize]
     }
 
+    /// Starts loading the bytes of name `id` into the cache (see
+    /// [`ipv6web_par::prefetch`]); an unknown id is ignored. Slices the
+    /// byte arena rather than the `str`, whose char-boundary check would
+    /// read the very byte being prefetched.
+    pub fn prefetch(&self, id: NameId) {
+        let i = id.index();
+        if let Some(&[a, b]) = self.offsets.get(i..i + 2) {
+            if let Some(bytes) = self.bytes.as_bytes().get(a as usize..b as usize) {
+                ipv6web_par::prefetch(bytes);
+            }
+        }
+    }
+
     /// Looks up the id of `name`, if interned.
     pub fn id_of(&self, name: &str) -> Option<NameId> {
         let h = fnv1a(name.as_bytes());

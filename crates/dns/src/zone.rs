@@ -127,6 +127,16 @@ impl ZoneDb {
         self.entries.get(id.index())?.as_ref()
     }
 
+    /// Starts loading what a lookup of `id` reads — the name's bytes and
+    /// its entry slot — into the cache (see [`ipv6web_par::prefetch`]); an
+    /// unknown id is ignored.
+    pub fn prefetch(&self, id: NameId) {
+        self.names.prefetch(id);
+        if let Some(slot) = self.entries.get(id.index()) {
+            ipv6web_par::prefetch(slot);
+        }
+    }
+
     /// Authoritative answer for `(name, qtype)` as of campaign `week`, as
     /// owned records.
     /// Returns an empty vec for NODATA (name exists, no such record) and
@@ -251,6 +261,18 @@ mod tests {
         let id = db.id_of("dual.example").expect("interned");
         assert_eq!(db.name_of(id), "dual.example");
         assert_eq!(db.entry_by_id(id), db.entry("dual.example"));
+    }
+
+    #[test]
+    fn prefetch_ignores_unknown_ids_and_changes_nothing() {
+        let db = db();
+        let before = db.clone();
+        for id in [0, 1, 2, u32::MAX].map(NameId) {
+            db.prefetch(id);
+            db.names().prefetch(id);
+        }
+        assert_eq!(db, before);
+        assert_eq!(db.query("dual.example", RecordType::A, 0).unwrap().len(), 1);
     }
 
     #[test]

@@ -25,6 +25,7 @@ use crate::probe::{probe_site, ProbeContext, ProbeOutcome};
 use crate::vantage::VantagePoint;
 use ipv6web_alexa::{MonitoredSet, TopList};
 use ipv6web_dns::Resolver;
+use ipv6web_par::prefetch;
 use ipv6web_stats::RngLabel;
 use ipv6web_web::SiteId;
 use rand::seq::SliceRandom;
@@ -332,6 +333,12 @@ fn round_order(seed: u64, vantage: &str, week: u32, n: usize) -> Vec<u32> {
     order
 }
 
+/// How many probes ahead of the running one the single-worker round loads
+/// a `Site`, and the name, zone entry and outcome slot it leads to. One
+/// probe (~1 µs) outlasts a memory miss, so longer distances gain nothing.
+const SITE_AHEAD: usize = 2;
+const NAME_AHEAD: usize = 1;
+
 /// Probes `sites[order[0]], sites[order[1]], …` over the worker pool and
 /// returns each outcome at its site's position in `sites`, so callers never
 /// observe completion order. A slot stays `None` when its outcome never
@@ -358,7 +365,23 @@ fn run_pool(
     let mut out: Vec<Option<ProbeOutcome>> = vec![None; sites.len()];
     if workers == 1 {
         let mut resolver = resolver_for(ctx);
-        for &k in order {
+        for (i, &k) in order.iter().enumerate() {
+            // The shuffled order reaches each site's lines cold once a
+            // round outgrows the cache: start loading the `Site` two probes
+            // ahead, and the next probe's name, zone entry and outcome slot
+            // (its `Site` arrived a probe ago), while this probe runs.
+            if let Some(&next) = order.get(i + SITE_AHEAD) {
+                if let Some(site) = ctx.sites.get(sites[next as usize].index()) {
+                    prefetch(site);
+                }
+            }
+            if let Some(&next) = order.get(i + NAME_AHEAD) {
+                let next = next as usize;
+                if let Some(site) = ctx.sites.get(sites[next].index()) {
+                    ctx.zone.prefetch(site.name);
+                }
+                prefetch(&out[next]);
+            }
             let k = k as usize;
             out[k] = Some(probe_site(ctx, &mut resolver, sites[k], week, salt, ipv6_day_mode));
         }
@@ -764,6 +787,41 @@ mod tests {
                     let order = round_order(seed, vantage, week, members.len());
                     let mapped: Vec<SiteId> = order.iter().map(|&k| members[k as usize]).collect();
                     assert_eq!(mapped, shuffled, "seed {seed}, {label}, n = {n}");
+                }
+            }
+        }
+    }
+
+    /// The single-worker round loads lines ahead of its probes; it must
+    /// return what probing `sites[order[k]]` in turn with one resolver
+    /// returns, rounds too short to look ahead in included. `workers` is
+    /// passed as 1: a wider pool does not prefetch.
+    #[test]
+    fn prefetching_round_matches_plain_probe_loop() {
+        let w = world(600);
+        let base = ctx(&w);
+        let plan = FaultPlan::demo(20);
+        let injector = FaultInjector::new(plan.clone(), base.seed);
+        let pf = ProbeFaults { injector: &injector, retry: plan.retry, v6_epochs: vec![] };
+        let week = 7;
+        for c in [base, ProbeContext { faults: Some(&pf), ..base }] {
+            for n in [0, 1, 2, 3, 211] {
+                let sites: Vec<SiteId> = w.sites.iter().step_by(2).take(n).map(|s| s.id).collect();
+                assert_eq!(sites.len(), n);
+                let order = round_order(c.seed, "TestVP", week, n);
+                if n > 3 {
+                    assert!(order.windows(2).any(|p| p[0] > p[1]), "order is shuffled");
+                }
+                let (got, lost) = run_pool(&c, &sites, &order, week, 0, false, 1);
+                assert_eq!((got.len(), lost), (n, 0));
+                let mut resolver = resolver_for(&c);
+                let mut want = vec![None; n];
+                for &k in &order {
+                    let k = k as usize;
+                    want[k] = Some(probe_site(&c, &mut resolver, sites[k], week, 0, false));
+                }
+                for (pos, (g, w)) in got.iter().zip(&want).enumerate() {
+                    assert_eq!(g, w, "n = {n}, position {pos}, faults {}", c.faults.is_some());
                 }
             }
         }

@@ -10,6 +10,9 @@
 //! set (a value of `1` forces the sequential path, used by the determinism
 //! tests), else from `std::thread::available_parallelism`.
 //!
+//! The one hint for the other side of the same loops, a sequential worker
+//! whose next items are known in advance, is [`prefetch`].
+//!
 //! # The two-level worker budget
 //!
 //! `IPV6WEB_THREADS` is a *global* cap, not a per-fan-out width. Nested
@@ -214,6 +217,29 @@ where
     out.into_iter().map(|slot| slot.expect("every index produced exactly once")).collect()
 }
 
+/// Starts loading every cache line `value` occupies into the L1 cache and
+/// returns at once, so a loop can fetch what a later iteration reads while
+/// the current one runs. A hint only: it never changes a result, and off
+/// x86-64 it does nothing.
+#[inline]
+pub fn prefetch<T: ?Sized>(value: &T) {
+    #[cfg(target_arch = "x86_64")]
+    {
+        use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+        const LINE: usize = 64;
+        let first = (value as *const T).cast::<i8>();
+        let lead = first as usize % LINE;
+        for off in (0..lead + std::mem::size_of_val(value)).step_by(LINE) {
+            // SAFETY: PREFETCHT0 is a hint that cannot fault on any address
+            // and neither reads nor writes program state; `wrapping_*`
+            // keeps the pointer arithmetic itself defined.
+            unsafe { _mm_prefetch::<_MM_HINT_T0>(first.wrapping_sub(lead).wrapping_add(off)) };
+        }
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = value;
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -398,5 +424,17 @@ mod tests {
             "peak {} > budget 3",
             peak.load(Ordering::SeqCst)
         );
+    }
+
+    #[test]
+    fn prefetch_accepts_any_value_and_changes_nothing() {
+        let big: Vec<u64> = (0..1000).collect();
+        prefetch(&big[..]);
+        prefetch(&big[999..]);
+        prefetch(&big[..0]);
+        prefetch("site7.web.example");
+        prefetch(&());
+        prefetch(&Some(3u8));
+        assert_eq!(big.iter().sum::<u64>(), 499_500);
     }
 }
