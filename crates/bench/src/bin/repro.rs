@@ -10,12 +10,11 @@
 //! repro all --seed 7 --json out.json
 //! repro all --fault-plan plan.json --checkpoint-dir ckpt/
 //! repro all --metrics BENCH.json --baseline BENCH_baseline.json
-//! repro all --sequential           # reference pipeline, for byte-comparison
 //! repro sweep sweep.json --store out/ --procs 4   # supervised study sweep
 //! ```
 
-use ipv6web_bench::{check_regression, render_diff, BenchReport, Scale, DEFAULT_TOLERANCE};
-use ipv6web_core::{run_study_mode, ExecutionMode};
+use ipv6web_bench::{check_regression, render_diff, BenchReport, DEFAULT_TOLERANCE};
+use ipv6web_core::{run_study, Scenario, SCALES};
 use ipv6web_faults::FaultPlan;
 use std::path::Path;
 
@@ -25,13 +24,15 @@ const ARTIFACTS: &[&str] = &[
 ];
 
 fn usage() -> ! {
+    let scales: Vec<&str> = SCALES.iter().map(|(name, _)| *name).collect();
     eprintln!(
-        "usage: repro <artifact...|all> [--scale quick|paper|faults|internet|internet-smoke|nat64|panel]\n\
+        "usage: repro <artifact...|all> [--scale {}]\n\
          \x20            [--seed N] [--json FILE]\n\
          \x20            [--csv DIR] [--fault-plan FILE] [--checkpoint-dir DIR]\n\
-         \x20            [--metrics FILE] [--baseline FILE] [--sequential]\n\
+         \x20            [--metrics FILE] [--baseline FILE]\n\
          \x20      repro sweep <sweep.json> --store DIR [--procs N] [--metrics FILE]\n\
          artifacts: {}",
+        scales.join("|"),
         ARTIFACTS.join(" ")
     );
     std::process::exit(2)
@@ -90,7 +91,7 @@ fn main() {
         std::process::exit(ipv6web_sweep::cli::cli_main(&args[1..], &["sweep"]));
     }
     let mut wanted: Vec<String> = Vec::new();
-    let mut scale = Scale::Quick;
+    let mut scale = String::from("quick");
     let mut seed = 42u64;
     let mut json_out: Option<String> = None;
     let mut csv_dir: Option<String> = None;
@@ -98,19 +99,11 @@ fn main() {
     let mut baseline_path: Option<String> = None;
     let mut fault_plan_path: Option<String> = None;
     let mut checkpoint_dir: Option<String> = None;
-    let mut mode = ExecutionMode::default();
     let mut it = args.into_iter();
     while let Some(a) = it.next() {
         match a.as_str() {
             "--scale" => {
-                let v = it.next().unwrap_or_else(|| usage());
-                scale = Scale::parse(&v).unwrap_or_else(|| {
-                    eprintln!(
-                        "repro: unknown scale `{v}` \
-                         (expected quick, paper, faults, internet, internet-smoke, nat64, or panel)"
-                    );
-                    usage()
-                });
+                scale = it.next().unwrap_or_else(|| usage());
             }
             "--seed" => {
                 let v = it.next().unwrap_or_else(|| usage());
@@ -134,9 +127,6 @@ fn main() {
             "--checkpoint-dir" => {
                 checkpoint_dir = Some(it.next().unwrap_or_else(|| usage()));
             }
-            "--sequential" => {
-                mode = ExecutionMode::Sequential;
-            }
             "all" => wanted.extend(ARTIFACTS.iter().map(|s| s.to_string())),
             other if ARTIFACTS.contains(&other) => wanted.push(other.to_string()),
             _ => usage(),
@@ -151,7 +141,10 @@ fn main() {
         ipv6web_obs::reset();
         ipv6web_obs::enable();
     }
-    let mut scenario = scale.scenario(seed);
+    let mut scenario = Scenario::scale(&scale, seed).unwrap_or_else(|e| {
+        eprintln!("repro: {e}");
+        usage()
+    });
     if let Some(path) = &fault_plan_path {
         let text = std::fs::read_to_string(path)
             .unwrap_or_else(|e| fail(format_args!("cannot read fault plan {path}: {e}")));
@@ -175,9 +168,9 @@ fn main() {
     if let Some(dir) = &csv_dir {
         check_csv_dir(Path::new(dir)).unwrap_or_else(|e| fail(e));
     }
-    eprintln!("running study (scale {scale:?}, seed {seed}, {mode:?})...");
+    eprintln!("running study (scale {scale}, seed {seed})...");
     let t0 = std::time::Instant::now();
-    let study = run_study_mode(&scenario, mode).unwrap_or_else(|e| fail(e));
+    let study = run_study(&scenario).unwrap_or_else(|e| fail(e));
     let wall_s = t0.elapsed().as_secs_f64();
     eprintln!("study complete in {wall_s:.1}s\n");
     eprint!("{}", study.timings.render());
@@ -268,7 +261,7 @@ fn main() {
         ipv6web_obs::flush_thread();
         let snap = ipv6web_obs::snapshot();
         let bench = BenchReport::assemble(
-            scale.name(),
+            &scale,
             seed,
             ipv6web_par::thread_count() as u64,
             wall_s,

@@ -40,7 +40,7 @@ pub struct DerivedMetrics {
 pub struct BenchReport {
     /// Schema tag ([`BENCH_SCHEMA`]).
     pub schema: String,
-    /// Scale the study ran at (`"quick"` / `"paper"`).
+    /// Scale tier the study ran at: a name from [`ipv6web_core::SCALES`].
     pub scale: String,
     /// Scenario seed.
     pub seed: u64,

@@ -29,8 +29,6 @@ pub mod world;
 
 pub use ipv6web_obs::{SpanRecord, Timings};
 pub use report::Report;
-pub use scenario::Scenario;
-pub use study::{
-    run_study, run_study_mode, run_study_on_world, ExecutionMode, StudyError, StudyResult,
-};
+pub use scenario::{Scenario, SCALES};
+pub use study::{run_study, run_study_on_world, ExecutionMode, StudyError, StudyResult};
 pub use world::{World, WorldError};

@@ -69,6 +69,21 @@ pub struct Scenario {
     pub vantage_population: Option<VantagePopulation>,
 }
 
+/// A scale tier's constructor: the tier's scenario at a seed.
+type ScaleFn = fn(u64) -> Scenario;
+
+/// Every named scale tier and the [`Scenario`] constructor it stands for,
+/// in the order usage lines and error messages list them.
+pub const SCALES: &[(&str, ScaleFn)] = &[
+    ("quick", Scenario::quick),
+    ("paper", Scenario::paper),
+    ("faults", Scenario::faults),
+    ("internet", Scenario::internet),
+    ("internet-smoke", Scenario::internet_smoke),
+    ("nat64", Scenario::nat64),
+    ("panel", Scenario::panel),
+];
+
 impl Scenario {
     /// The full paper-scale scenario: ≈4000 ASes, 120k ranked sites plus a
     /// 30k tail, 52 weekly rounds from six vantage points. Takes minutes;
@@ -240,6 +255,44 @@ impl Scenario {
         s.campaign.ipv6_day_rounds = 2;
         s.vantage_population = Some(VantagePopulation { count: 200, ..Default::default() });
         s
+    }
+
+    /// The scenario of the scale tier `name` (one of [`SCALES`]) at
+    /// `seed`. The error names `name` and lists every tier.
+    pub fn scale(name: &str, seed: u64) -> Result<Scenario, String> {
+        if let Some((_, build)) = SCALES.iter().find(|(n, _)| *n == name) {
+            return Ok(build(seed));
+        }
+        let names: Vec<&str> = SCALES.iter().map(|(n, _)| *n).collect();
+        let (last, rest) = names.split_last().expect("SCALES is not empty");
+        Err(format!("unknown scale `{name}` (expected {}, or {last})", rest.join(", ")))
+    }
+
+    /// Resolves a study request that names either a scale tier (with an
+    /// optional seed) or a full inline scenario, as the daemon's job
+    /// submissions and the sweep's base scenario do: a `scale` or an
+    /// `inline` scenario, never both; `seed` only with a scale; defaults
+    /// `quick` and seed 42. The checkpoint directory is always cleared,
+    /// because the service's store owns checkpoint placement.
+    pub fn resolve_request(
+        scale: Option<&str>,
+        seed: Option<u64>,
+        inline: Option<&Scenario>,
+    ) -> Result<Scenario, String> {
+        let mut scenario = match (inline, scale) {
+            (Some(_), Some(_)) => {
+                return Err("give either `scale` or an inline `scenario`, not both".into())
+            }
+            (Some(_), None) if seed.is_some() => {
+                return Err("`seed` only applies to a named `scale`; \
+                            an inline scenario carries its own seed"
+                    .into())
+            }
+            (Some(sc), None) => sc.clone(),
+            (None, name) => Scenario::scale(name.unwrap_or("quick"), seed.unwrap_or(42))?,
+        };
+        scenario.checkpoint_dir = None;
+        Ok(scenario)
     }
 
     /// This scenario re-seeded. The sweep axes are built from these
@@ -417,6 +470,29 @@ mod tests {
                 assert_eq!(back, preset, "stream_routes: {flag}");
             }
         }
+    }
+
+    #[test]
+    fn scale_names_map_to_their_constructors() {
+        let expected = [
+            ("quick", Scenario::quick(3)),
+            ("paper", Scenario::paper(3)),
+            ("faults", Scenario::faults(3)),
+            ("internet", Scenario::internet(3)),
+            ("internet-smoke", Scenario::internet_smoke(3)),
+            ("nat64", Scenario::nat64(3)),
+            ("panel", Scenario::panel(3)),
+        ];
+        assert_eq!(SCALES.len(), expected.len());
+        for (name, scenario) in expected {
+            assert_eq!(Scenario::scale(name, 3), Ok(scenario), "{name}");
+        }
+        let err = Scenario::scale("galactic", 1).unwrap_err();
+        assert_eq!(
+            err,
+            "unknown scale `galactic` (expected quick, paper, faults, internet, \
+             internet-smoke, nat64, or panel)"
+        );
     }
 
     #[test]

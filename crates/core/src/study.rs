@@ -79,34 +79,23 @@ pub struct StudyResult {
     pub timings: ipv6web_obs::Timings,
 }
 
-/// How the study schedules its per-vantage work. Both modes produce
-/// byte-identical reports and databases — the paper ran its six monitors
-/// concurrently, and every probe derives its randomness from
-/// `(seed, vantage, week, site)`, never from scheduling.
+/// The study's one schedule: campaigns, IPv6-day rounds and analyses fan
+/// out over the vantage points via `ipv6web_par`, under the global
+/// `IPV6WEB_THREADS` budget (each campaign's probe pool borrows its share,
+/// so the two-level fan-out never oversubscribes). At `IPV6WEB_THREADS=1`
+/// the same closures run inline in vantage order. Reports never depend on
+/// the schedule: every probe derives its randomness from
+/// `(seed, vantage, week, site)`.
+///
+/// This one-variant type is kept only because the study benchmark
+/// (`studybench/src/study.rs`) calls
+/// `run_study_on_world(&world, ExecutionMode::default(), None)`; it
+/// selects nothing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ExecutionMode {
-    /// One vantage point after another — the reference pipeline, kept for
-    /// byte-comparison in CI and tests.
-    Sequential,
-    /// Campaigns, IPv6-day rounds, and analyses fan out over the vantage
-    /// points via `ipv6web_par`, under the global `IPV6WEB_THREADS`
-    /// budget (each campaign's probe pool borrows its share, so the
-    /// two-level fan-out never oversubscribes).
+    /// The vantage-parallel schedule.
     #[default]
     VantageParallel,
-}
-
-/// Runs `task(i)` for every index, sequentially or fanned out over the
-/// vantage points, returning results in index order either way.
-fn for_each_vantage<R: Send>(
-    mode: ExecutionMode,
-    idxs: &[usize],
-    task: impl Fn(usize) -> R + Sync,
-) -> Vec<R> {
-    match mode {
-        ExecutionMode::Sequential => idxs.iter().map(|&i| task(i)).collect(),
-        ExecutionMode::VantageParallel => ipv6web_par::par_map(idxs, |_, &i| task(i)),
-    }
 }
 
 /// Loads a previous partial run from the checkpoint directory, if one was
@@ -132,14 +121,6 @@ fn load_resume(dir: Option<&Path>, vantage: &str) -> Result<Option<MonitorDb>, C
 /// throughout; an empty plan reproduces the fault-free pipeline
 /// bit-identically.
 pub fn run_study(scenario: &Scenario) -> Result<StudyResult, StudyError> {
-    run_study_mode(scenario, ExecutionMode::default())
-}
-
-/// [`run_study`] with an explicit [`ExecutionMode`]. The mode is an
-/// execution detail, not part of the scenario: it must never change a
-/// single byte of the result, which is exactly what the determinism suite
-/// asserts by running both modes against each other.
-pub fn run_study_mode(scenario: &Scenario, mode: ExecutionMode) -> Result<StudyResult, StudyError> {
     scenario.validate().map_err(StudyError::InvalidScenario)?;
     // Checkpoint-dir problems (a typo'd parent, a file in the way) surface
     // *before* the world build, not minutes later at the first atomic
@@ -153,7 +134,7 @@ pub fn run_study_mode(scenario: &Scenario, mode: ExecutionMode) -> Result<StudyR
     // through `run_study_on_world` and deliberately omits them).
     let mark = ipv6web_obs::span_mark();
     let world = Arc::new(World::try_build(scenario)?);
-    run_study_from_mark(&world, mode, ckpt_dir, mark)
+    run_study_from_mark(&world, ckpt_dir, mark)
 }
 
 /// Runs the measurement pipeline — campaigns, IPv6-day rounds, analysis,
@@ -165,22 +146,20 @@ pub fn run_study_mode(scenario: &Scenario, mode: ExecutionMode) -> Result<StudyR
 /// destination's routes per job. `checkpoint_dir` overrides
 /// `world.scenario.checkpoint_dir` so the *same* world can back
 /// jobs with different checkpoint locations; the produced report is
-/// byte-identical to [`run_study_mode`] on the equivalent scenario either
-/// way.
+/// byte-identical to [`run_study`] on the equivalent scenario either way.
 pub fn run_study_on_world(
     world: &Arc<World>,
-    mode: ExecutionMode,
+    _schedule: ExecutionMode,
     checkpoint_dir: Option<&Path>,
 ) -> Result<StudyResult, StudyError> {
     // Collect only the spans this run produces, so back-to-back studies on
     // one thread (e.g. test suites) keep independent phase breakdowns.
     let mark = ipv6web_obs::span_mark();
-    run_study_from_mark(world, mode, checkpoint_dir, mark)
+    run_study_from_mark(world, checkpoint_dir, mark)
 }
 
 fn run_study_from_mark(
     world: &Arc<World>,
-    mode: ExecutionMode,
     checkpoint_dir: Option<&Path>,
     mark: usize,
 ) -> Result<StudyResult, StudyError> {
@@ -199,38 +178,35 @@ fn run_study_from_mark(
     }
 
     // --- weekly campaigns ---------------------------------------------------
-    // One task per vantage point, run sequentially or fanned out under the
-    // shared worker budget. Each task captures its own span subtree on the
-    // thread it ran on; the subtrees are attached back here in
-    // `world.vantages` order, so the phase breakdown is identical no
-    // matter where (or in what order) the campaigns actually ran.
-    let all_idxs: Vec<usize> = (0..world.vantages.len()).collect();
-    let campaign_task =
-        |i: usize| -> Result<(MonitorDb, Vec<ipv6web_obs::SpanRecord>), CampaignError> {
-            let vantage = &world.vantages[i];
-            let faults = world.probe_faults(i);
-            let ctx = world.probe_ctx(i, faults.as_ref());
-            let sites = &world.sites;
-            let mark = ipv6web_obs::span_mark();
-            let db = {
-                let _s = ipv6web_obs::span(format!("campaign: {}", vantage.name));
-                let resume = load_resume(ckpt_dir, &vantage.name)?;
-                run_campaign_resumable(
-                    &ctx,
-                    vantage,
-                    &world.list,
-                    &world.tail_ids,
-                    |id| sites[id as usize].first_seen_week,
-                    &scenario.campaign,
-                    resume,
-                    ckpt_dir,
-                )?
-            };
-            Ok((db, ipv6web_obs::take_spans_since(mark)))
+    // One task per vantage point, fanned out under the shared worker
+    // budget. Each task captures its own span subtree on the thread it ran
+    // on; the subtrees are attached back here in `world.vantages` order,
+    // so the phase breakdown is identical no matter where (or in what
+    // order) the campaigns actually ran.
+    let campaigns = ipv6web_par::par_map(&world.vantages, |i, vantage| {
+        let faults = world.probe_faults(i);
+        let ctx = world.probe_ctx(i, faults.as_ref());
+        let sites = &world.sites;
+        let mark = ipv6web_obs::span_mark();
+        let db = {
+            let _s = ipv6web_obs::span(format!("campaign: {}", vantage.name));
+            let resume = load_resume(ckpt_dir, &vantage.name)?;
+            run_campaign_resumable(
+                &ctx,
+                vantage,
+                &world.list,
+                &world.tail_ids,
+                |id| sites[id as usize].first_seen_week,
+                &scenario.campaign,
+                resume,
+                ckpt_dir,
+            )?
         };
+        Ok::<_, CampaignError>((db, ipv6web_obs::take_spans_since(mark)))
+    });
     let mut dbs = Vec::with_capacity(world.vantages.len());
-    for result in for_each_vantage(mode, &all_idxs, campaign_task) {
-        // the first failure in vantage order wins, same as the serial loop
+    for result in campaigns {
+        // the first failure in vantage order wins
         let (db, spans) = result?;
         ipv6web_obs::attach_spans(spans);
         dbs.push(db);
@@ -247,7 +223,7 @@ fn run_study_from_mark(
         .collect();
     let day_results = {
         let _s = ipv6web_obs::span("ipv6 day rounds");
-        for_each_vantage(mode, &day_idxs, |i| {
+        ipv6web_par::par_map(&day_idxs, |_, &i| {
             let faults = world.probe_faults(i);
             let ctx = world.probe_ctx(i, faults.as_ref());
             run_ipv6_day_rounds(
@@ -270,7 +246,7 @@ fn run_study_from_mark(
         world.vantages.iter().enumerate().filter(|(_, v)| v.has_as_path).map(|(i, _)| i).collect();
     let analyses: Vec<VantageAnalysis> = {
         let _s = ipv6web_obs::span("analysis");
-        for_each_vantage(mode, &ana_idxs, |i| {
+        ipv6web_par::par_map(&ana_idxs, |_, &i| {
             analyze_vantage_faulted(
                 &scenario.analysis,
                 &world.sites,
@@ -284,9 +260,7 @@ fn run_study_from_mark(
     let day_cfg = AnalysisConfig::ipv6_day();
     let day_analyses: Vec<VantageAnalysis> = {
         let _s = ipv6web_obs::span("analysis: ipv6 day");
-        let day_ana_idxs: Vec<usize> = (0..day_dbs.len()).collect();
-        for_each_vantage(mode, &day_ana_idxs, |k| {
-            let (i, db) = &day_dbs[k];
+        ipv6web_par::par_map(&day_dbs, |_, (i, db)| {
             analyze_vantage_faulted(
                 &day_cfg,
                 &world.sites,

@@ -130,13 +130,12 @@ impl Daemon {
     /// Accepts a job: resolves the spec, persists a queued record, and
     /// wakes a worker. Returns the accepted record.
     pub fn submit(&self, spec: &JobSpec) -> Result<JobRecord, String> {
-        let (scenario, mode) = spec.resolve()?;
-        let sequential = mode == ipv6web_core::ExecutionMode::Sequential;
+        let scenario = spec.resolve()?;
         let mut state = self.state.lock().expect("daemon state lock");
         if state.shutdown {
             return Err("daemon is shutting down".into());
         }
-        let rec = JobRecord::new(state.next_seq, scenario, sequential);
+        let rec = JobRecord::new(state.next_seq, scenario);
         state.next_seq += 1;
         self.store.save(&rec).map_err(|e| format!("persist job: {e}"))?;
         state.jobs.insert(rec.id.clone(), rec.clone());
@@ -262,7 +261,7 @@ impl Daemon {
                 });
             }
         })));
-        let result = run_study_on_world(&world, record.mode(), Some(&ckpt));
+        let result = run_study_on_world(&world, Default::default(), Some(&ckpt));
         ipv6web_obs::set_span_sink(prev);
 
         match result {

@@ -6,8 +6,7 @@
 //! record through every state change so a killed daemon can pick the job
 //! back up from its checkpoints on the next boot.
 
-use ipv6web_bench::Scale;
-use ipv6web_core::{ExecutionMode, Scenario, SpanRecord};
+use ipv6web_core::{Scenario, SpanRecord};
 use ipv6web_faults::FaultPlan;
 use serde::{DeError, Deserialize, Serialize, Value};
 
@@ -15,66 +14,37 @@ use serde::{DeError, Deserialize, Serialize, Value};
 ///
 /// Either a named `scale` (with an optional `seed`, default 42) or a full
 /// inline `scenario` — not both. An optional `fault_plan` overlays the
-/// resolved scenario, and `sequential: true` forces the reference
-/// [`ExecutionMode::Sequential`] pipeline (the default is vantage-parallel;
-/// both produce byte-identical reports).
+/// resolved scenario. Unknown keys are ignored, among them the schedule
+/// flag older clients send: every job runs the one study schedule.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct JobSpec {
-    /// Named scale: `quick`, `paper`, `faults`, `internet`,
-    /// `internet-smoke`, `nat64`, `panel`.
+    /// Named scale: one of [`ipv6web_core::SCALES`].
     pub scale: Option<String>,
     /// Seed for a named scale (default 42). Rejected alongside an inline
     /// scenario, which carries its own seed.
     pub seed: Option<u64>,
-    /// Full inline scenario; overrides `scale`/`seed`.
+    /// Full inline scenario; rejected alongside `scale` or `seed`.
     pub scenario: Option<Scenario>,
     /// Fault plan overlay for the resolved scenario.
     pub fault_plan: Option<FaultPlan>,
-    /// Run the reference sequential pipeline instead of vantage-parallel.
-    pub sequential: Option<bool>,
 }
 
 impl JobSpec {
-    /// Resolves the spec into a validated scenario and execution mode.
+    /// Resolves the spec into a validated scenario
+    /// ([`Scenario::resolve_request`]'s rules, then the fault-plan
+    /// overlay).
     ///
     /// The scenario's `checkpoint_dir` is always cleared: the job store
     /// owns checkpoint placement (one directory per job id), and a
     /// client-supplied path would break resume-on-restart.
-    pub fn resolve(&self) -> Result<(Scenario, ExecutionMode), String> {
-        let mut scenario = match (&self.scenario, &self.scale) {
-            (Some(_), Some(_)) => {
-                return Err("give either `scale` or an inline `scenario`, not both".into())
-            }
-            (Some(sc), None) => {
-                if self.seed.is_some() {
-                    return Err("`seed` only applies to a named `scale`; \
-                                an inline scenario carries its own seed"
-                        .into());
-                }
-                sc.clone()
-            }
-            (None, scale) => {
-                let name = scale.as_deref().unwrap_or("quick");
-                let scale = Scale::parse(name).ok_or_else(|| {
-                    format!(
-                        "unknown scale `{name}` (expected quick, paper, faults, \
-                         internet, internet-smoke, nat64, or panel)"
-                    )
-                })?;
-                scale.scenario(self.seed.unwrap_or(42))
-            }
-        };
+    pub fn resolve(&self) -> Result<Scenario, String> {
+        let mut scenario =
+            Scenario::resolve_request(self.scale.as_deref(), self.seed, self.scenario.as_ref())?;
         if let Some(plan) = &self.fault_plan {
             scenario.faults = plan.clone();
         }
-        scenario.checkpoint_dir = None;
         scenario.validate().map_err(|msg| format!("invalid scenario: {msg}"))?;
-        let mode = if self.sequential.unwrap_or(false) {
-            ExecutionMode::Sequential
-        } else {
-            ExecutionMode::VantageParallel
-        };
-        Ok((scenario, mode))
+        Ok(scenario)
     }
 }
 
@@ -145,8 +115,6 @@ pub struct JobRecord {
     pub config_hash: String,
     /// Current lifecycle state.
     pub state: JobState,
-    /// `true` when the job runs the reference sequential pipeline.
-    pub sequential: bool,
     /// How many daemon boots have picked this job back up mid-flight.
     pub resumes: u64,
     /// Failure message when `state == failed`.
@@ -160,27 +128,17 @@ pub struct JobRecord {
 
 impl JobRecord {
     /// Builds a fresh queued record for a resolved scenario.
-    pub fn new(seq: u64, scenario: Scenario, sequential: bool) -> JobRecord {
+    pub fn new(seq: u64, scenario: Scenario) -> JobRecord {
         let hash = scenario.config_hash();
         JobRecord {
             id: format!("job-{seq:06}-{hash:016x}"),
             seq,
             config_hash: format!("{hash:016x}"),
             state: JobState::Queued,
-            sequential,
             resumes: 0,
             error: None,
             phases: Vec::new(),
             scenario,
-        }
-    }
-
-    /// Execution mode implied by the record.
-    pub fn mode(&self) -> ExecutionMode {
-        if self.sequential {
-            ExecutionMode::Sequential
-        } else {
-            ExecutionMode::VantageParallel
         }
     }
 }
@@ -191,22 +149,19 @@ mod tests {
 
     #[test]
     fn default_spec_resolves_to_quick_42() {
-        let (scenario, mode) = JobSpec::default().resolve().unwrap();
-        assert_eq!(scenario, Scenario::quick(42));
-        assert_eq!(mode, ExecutionMode::VantageParallel);
+        assert_eq!(JobSpec::default().resolve().unwrap(), Scenario::quick(42));
     }
 
     #[test]
     fn named_scale_and_seed() {
-        let spec = JobSpec {
-            scale: Some("faults".into()),
-            seed: Some(7),
-            sequential: Some(true),
-            ..JobSpec::default()
-        };
-        let (scenario, mode) = spec.resolve().unwrap();
-        assert_eq!(scenario, Scenario::faults(7));
-        assert_eq!(mode, ExecutionMode::Sequential);
+        let spec = JobSpec { scale: Some("faults".into()), seed: Some(7), ..JobSpec::default() };
+        assert_eq!(spec.resolve().unwrap(), Scenario::faults(7));
+        // submissions written while jobs could select a sequential
+        // schedule still parse, and resolve to the same scenario
+        let legacy: JobSpec =
+            serde_json::from_str("{\"scale\": \"faults\", \"seed\": 7, \"sequential\": true}")
+                .unwrap();
+        assert_eq!(legacy.resolve().unwrap(), Scenario::faults(7));
     }
 
     #[test]
@@ -214,8 +169,7 @@ mod tests {
         let mut inline = Scenario::quick(3);
         inline.checkpoint_dir = Some("/somewhere/else".into());
         let spec = JobSpec { scenario: Some(inline), ..JobSpec::default() };
-        let (scenario, _) = spec.resolve().unwrap();
-        assert_eq!(scenario.checkpoint_dir, None);
+        assert_eq!(spec.resolve().unwrap().checkpoint_dir, None);
     }
 
     #[test]
@@ -259,8 +213,7 @@ mod tests {
         let plan = Scenario::faults(1).faults;
         assert!(!plan.is_empty());
         let spec = JobSpec { fault_plan: Some(plan.clone()), ..JobSpec::default() };
-        let (scenario, _) = spec.resolve().unwrap();
-        assert_eq!(scenario.faults, plan);
+        assert_eq!(spec.resolve().unwrap().faults, plan);
     }
 
     #[test]
@@ -276,7 +229,7 @@ mod tests {
 
     #[test]
     fn record_roundtrips_through_json() {
-        let rec = JobRecord::new(3, Scenario::quick(11), true);
+        let rec = JobRecord::new(3, Scenario::quick(11));
         assert!(rec.id.starts_with("job-000003-"));
         assert_eq!(rec.config_hash, format!("{:016x}", Scenario::quick(11).config_hash()));
         let json = serde_json::to_string_pretty(&rec).unwrap();

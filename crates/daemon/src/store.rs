@@ -156,8 +156,8 @@ mod tests {
     fn save_load_scan_roundtrip() {
         let dir = tmpdir("roundtrip");
         let store = JobStore::open(&dir).unwrap();
-        let mut a = JobRecord::new(1, Scenario::quick(1), false);
-        let b = JobRecord::new(2, Scenario::quick(2), true);
+        let mut a = JobRecord::new(1, Scenario::quick(1));
+        let b = JobRecord::new(2, Scenario::quick(2));
         a.state = JobState::Running;
         store.save(&a).unwrap();
         store.save(&b).unwrap();
@@ -180,7 +180,7 @@ mod tests {
     fn scan_removes_tmp_and_quarantines_corrupt() {
         let dir = tmpdir("recovery");
         let store = JobStore::open(&dir).unwrap();
-        let good = JobRecord::new(1, Scenario::quick(1), false);
+        let good = JobRecord::new(1, Scenario::quick(1));
         store.save(&good).unwrap();
         // a crash mid-write leaves a torn temp file
         std::fs::write(dir.join("job-000002-beef.json.tmp"), b"{\"id\": \"job-0000").unwrap();
@@ -207,7 +207,7 @@ mod tests {
     fn scan_ignores_reports_and_foreign_files() {
         let dir = tmpdir("foreign");
         let store = JobStore::open(&dir).unwrap();
-        let rec = JobRecord::new(1, Scenario::quick(1), false);
+        let rec = JobRecord::new(1, Scenario::quick(1));
         store.save(&rec).unwrap();
         store.save_report(&rec.id, b"not a record").unwrap();
         std::fs::write(dir.join("README.txt"), b"hello").unwrap();
@@ -225,7 +225,7 @@ mod tests {
         // copy) must not be trusted as that job
         let dir = tmpdir("mismatch");
         let store = JobStore::open(&dir).unwrap();
-        let rec = JobRecord::new(1, Scenario::quick(1), false);
+        let rec = JobRecord::new(1, Scenario::quick(1));
         let json = serde_json::to_string_pretty(&rec).unwrap();
         std::fs::write(dir.join("job-000009-cafe.json"), json).unwrap();
         let scan = store.scan().unwrap();

@@ -837,7 +837,12 @@ mod tests {
         let mut cfg8 = cfg1;
         cfg8.workers = 8;
         let db1 = run_campaign(&c, &w.vantage, &w.list, &[], |_| 0, &cfg1).unwrap();
-        let db8 = run_campaign(&c, &w.vantage, &w.list, &[], |_| 0, &cfg8).unwrap();
+        // the pool is capped at the thread's allowance, which is 1 under
+        // IPV6WEB_THREADS=1 or on a one-CPU host; grant 8 so the pool
+        // really runs 8 workers there too
+        let db8 = ipv6web_par::with_allowance(8, || {
+            run_campaign(&c, &w.vantage, &w.list, &[], |_| 0, &cfg8).unwrap()
+        });
         assert_eq!(db1, db8, "scheduling must not affect results");
     }
 

@@ -16,7 +16,7 @@
 //! crash-resume. The contract, enforced end-to-end by the acceptance
 //! tests: a sweep that loses workers *and* its orchestrator to SIGKILL,
 //! restarted, merges to `results.json` / `summary.txt` byte-identical
-//! to a clean single-process sequential run.
+//! to a clean, uninterrupted single-process run.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

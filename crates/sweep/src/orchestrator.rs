@@ -18,7 +18,7 @@
 use crate::record::StudyRecord;
 use crate::spec::{StudyCase, Supervision, SweepSpec};
 use crate::store::ResultStore;
-use ipv6web_core::run_study_mode;
+use ipv6web_core::run_study;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
@@ -386,7 +386,7 @@ pub fn run_worker(spec: &SweepSpec, index: usize, store_dir: &Path) -> Result<()
         std::process::abort();
     }
 
-    let result = run_study_mode(&case.scenario, case.mode());
+    let result = run_study(&case.scenario);
     stop.store(true, Ordering::Relaxed);
     let _ = hb.join();
     match result {

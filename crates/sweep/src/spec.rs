@@ -11,7 +11,7 @@
 //! independently and agree on the matrix without any coordination.
 
 use ipv6web_alexa::AdoptionTimeline;
-use ipv6web_core::{ExecutionMode, Scenario};
+use ipv6web_core::Scenario;
 use ipv6web_faults::FaultPlan;
 use ipv6web_xlat::XlatConfig;
 use serde::{Deserialize, Serialize};
@@ -249,7 +249,7 @@ pub struct SweepSpec {
     /// Base seed for a named scale (default 42); the seed axis overrides
     /// it per study.
     pub seed: Option<u64>,
-    /// Full inline base scenario; overrides `scale`/`seed`.
+    /// Full inline base scenario; rejected alongside `scale` or `seed`.
     pub scenario: Option<Scenario>,
     /// Seed axis; empty/absent means just the base seed.
     pub seeds: Option<Vec<u64>>,
@@ -263,9 +263,6 @@ pub struct SweepSpec {
     /// Translation-plane axis (NAT64 gateway count / client-stack mix);
     /// absent means the base scenario's config.
     pub xlat: Option<Vec<XlatAxis>>,
-    /// Run every study through the reference sequential pipeline (reports
-    /// are byte-identical either way; this only trades speed).
-    pub sequential: Option<bool>,
     /// Supervision knobs (timeouts, retries, heartbeats).
     pub supervision: Option<SupervisionSpec>,
     /// Scripted chaos, for CI and the acceptance tests.
@@ -289,8 +286,6 @@ pub struct StudyCase {
     pub xlat: String,
     /// The fully resolved, validated scenario.
     pub scenario: Scenario,
-    /// Execution mode for the study.
-    pub sequential: bool,
 }
 
 impl StudyCase {
@@ -302,55 +297,15 @@ impl StudyCase {
     pub fn key(&self) -> String {
         format!("{:05}-{:016x}", self.index, self.scenario.config_hash())
     }
-
-    /// Execution mode implied by the case.
-    pub fn mode(&self) -> ExecutionMode {
-        if self.sequential {
-            ExecutionMode::Sequential
-        } else {
-            ExecutionMode::VantageParallel
-        }
-    }
 }
 
 impl SweepSpec {
-    /// Resolves the base scenario (scale tier or inline), mirroring the
-    /// daemon's `JobSpec::resolve` rules.
+    /// Resolves the base scenario (scale tier or inline) under the same
+    /// rules as the daemon's job submissions
+    /// ([`Scenario::resolve_request`]): the sweep store owns checkpoint
+    /// placement, as the job store does.
     pub fn base_scenario(&self) -> Result<Scenario, String> {
-        let mut base = match (&self.scenario, &self.scale) {
-            (Some(_), Some(_)) => {
-                return Err("give either `scale` or an inline `scenario`, not both".into())
-            }
-            (Some(sc), None) => {
-                if self.seed.is_some() {
-                    return Err("`seed` only applies to a named `scale`; \
-                                an inline scenario carries its own seed"
-                        .into());
-                }
-                sc.clone()
-            }
-            (None, scale) => {
-                let seed = self.seed.unwrap_or(42);
-                match scale.as_deref().unwrap_or("quick") {
-                    "quick" => Scenario::quick(seed),
-                    "paper" => Scenario::paper(seed),
-                    "faults" => Scenario::faults(seed),
-                    "internet" => Scenario::internet(seed),
-                    "internet-smoke" => Scenario::internet_smoke(seed),
-                    "nat64" => Scenario::nat64(seed),
-                    "panel" => Scenario::panel(seed),
-                    other => {
-                        return Err(format!(
-                            "unknown scale `{other}` (expected quick, paper, faults, \
-                             internet, internet-smoke, nat64, or panel)"
-                        ))
-                    }
-                }
-            }
-        };
-        // the sweep store owns checkpoint placement, same as the job store
-        base.checkpoint_dir = None;
-        Ok(base)
+        Scenario::resolve_request(self.scale.as_deref(), self.seed, self.scenario.as_ref())
     }
 
     /// Resolved supervision policy (defaults when the block is absent).
@@ -396,7 +351,6 @@ impl SweepSpec {
             Some(_) => return Err("`xlat` axis is explicitly empty".into()),
             None => vec![XlatAxis { name: "base".to_string(), config: None, gateways: None }],
         };
-        let sequential = self.sequential.unwrap_or(false);
 
         let mut cases = Vec::with_capacity(
             parities.len() * timelines.len() * faults.len() * xlats.len() * seeds.len(),
@@ -429,7 +383,6 @@ impl SweepSpec {
                                 faults: fx.name.clone(),
                                 xlat: xa.name.clone(),
                                 scenario,
-                                sequential,
                             });
                         }
                     }
@@ -611,6 +564,14 @@ mod tests {
         assert_eq!(minimal.expand().unwrap().len(), 1);
         assert_eq!(minimal.supervision().max_attempts, 3);
         assert!(!minimal.chaos().hangs(0));
+        // specs written while sweeps could select a sequential schedule
+        // still parse, and expand to the same matrix
+        let legacy: SweepSpec = serde_json::from_str(
+            "{\"scale\": \"quick\", \"seeds\": [1, 2], \"peering_parity\": [0.25, 0.75], \
+             \"sequential\": true}",
+        )
+        .unwrap();
+        assert_eq!(legacy.expand().unwrap(), spec.expand().unwrap());
     }
 
     #[test]

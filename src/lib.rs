@@ -70,8 +70,7 @@ pub use ipv6web_web as web;
 pub use ipv6web_xlat as xlat;
 
 pub use ipv6web_core::{
-    run_study, run_study_mode, run_study_on_world, ExecutionMode, Report, Scenario, StudyError,
-    StudyResult, World, WorldError,
+    run_study, run_study_on_world, Report, Scenario, StudyError, StudyResult, World, WorldError,
 };
 
 #[cfg(test)]

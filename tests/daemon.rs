@@ -141,7 +141,7 @@ fn boot_resumes_killed_job_to_identical_report() {
     // checkpoint directory.
     let store_dir = fresh_dir("resume");
     let store = JobStore::open(&store_dir).unwrap();
-    let mut rec = JobRecord::new(1, scenario.clone(), false);
+    let mut rec = JobRecord::new(1, scenario.clone());
     rec.state = JobState::Running;
     store.save(&rec).unwrap();
 
@@ -325,7 +325,7 @@ fn boot_recovers_store_from_partial_writes() {
     let store = JobStore::open(&store_dir).unwrap();
 
     // a healthy finished job (report present) must be left alone
-    let mut finished = JobRecord::new(1, tiny(41), false);
+    let mut finished = JobRecord::new(1, tiny(41));
     finished.state = JobState::Done;
     store.save(&finished).unwrap();
     store.save_report(&finished.id, b"{\"report\": true}").unwrap();
@@ -335,10 +335,18 @@ fn boot_recovers_store_from_partial_writes() {
     // a record truncated on disk is corrupt — quarantined, never half-read
     std::fs::write(store_dir.join("job-000003-bbbb.json"), b"{\"id\": \"job-000003-bbbb\"")
         .unwrap();
-    // a job marked done whose report never landed must re-run
-    let mut lost = JobRecord::new(4, tiny(43), true);
-    lost.state = JobState::Done;
-    store.save(&lost).unwrap();
+    // a job marked done whose report never landed must re-run; it is
+    // stored in the older record format that still carried a
+    // `sequential` schedule flag, which must scan as a record
+    let hash = tiny(43).config_hash();
+    let lost_id = format!("job-000004-{hash:016x}");
+    let lost = format!(
+        "{{\"id\": \"{lost_id}\", \"seq\": 4, \"config_hash\": \"{hash:016x}\", \
+         \"state\": \"done\", \"sequential\": true, \"resumes\": 0, \"error\": null, \
+         \"phases\": [], \"scenario\": {}}}",
+        serde_json::to_string(&tiny(43)).unwrap()
+    );
+    std::fs::write(store.record_path(&lost_id), lost).unwrap();
 
     let (daemon, boot) = Daemon::open(&store_dir, 1).unwrap();
     assert_eq!(boot.removed_tmp, 1);
@@ -354,7 +362,7 @@ fn boot_recovers_store_from_partial_writes() {
     assert_eq!(daemon.job(&finished.id).unwrap().state, JobState::Done);
     assert_eq!(daemon.report_bytes(&finished.id).unwrap().unwrap(), b"{\"report\": true}");
     // the lost-report job is queued again, sequence numbering continues
-    let requeued = daemon.job(&lost.id).unwrap();
+    let requeued = daemon.job(&lost_id).unwrap();
     assert_eq!(requeued.state, JobState::Queued);
     assert_eq!(requeued.resumes, 1);
     let next = daemon.submit(&JobSpec::default()).unwrap();

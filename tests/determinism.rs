@@ -1,7 +1,7 @@
 //! Reproducibility: the same scenario and seed must produce bit-identical
 //! results, and different seeds must not.
 
-use ipv6web::{run_study, run_study_mode, ExecutionMode, Scenario};
+use ipv6web::{run_study, Scenario};
 use std::sync::Mutex;
 
 /// `IPV6WEB_THREADS` is process-global: tests that set it run under one
@@ -47,25 +47,39 @@ fn different_seed_different_world() {
     );
 }
 
+/// Runs `tiny(seed)` at each `IPV6WEB_THREADS` budget and asserts that the
+/// report bytes and the raw databases equal the first budget's. The
+/// variable is process-global, so all runs hold `ENV_LOCK`.
+fn assert_budgets_agree(seed: u64, budgets: &[&str]) {
+    let _g = ENV_LOCK.lock().unwrap();
+    let mut runs = Vec::new();
+    for &threads in budgets {
+        std::env::set_var("IPV6WEB_THREADS", threads);
+        let s = run_study(&tiny(seed)).expect("valid scenario");
+        runs.push((threads, serde_json::to_string(&s.report).unwrap(), s.dbs));
+    }
+    std::env::remove_var("IPV6WEB_THREADS");
+    let (_, ref json0, ref dbs0) = runs[0];
+    for (threads, json, dbs) in &runs[1..] {
+        assert_eq!(json, json0, "report diverged at IPV6WEB_THREADS={threads}");
+        assert_eq!(dbs, dbs0, "databases diverged at IPV6WEB_THREADS={threads}");
+    }
+}
+
 #[test]
 fn thread_count_does_not_change_results() {
-    // Route-table fan-out width comes from IPV6WEB_THREADS. The variable is
-    // process-global, so both runs live in this one test; determinism means
-    // any interleaving with sibling tests is harmless by construction.
-    let _g = ENV_LOCK.lock().unwrap();
-    std::env::set_var("IPV6WEB_THREADS", "1");
-    let a = run_study(&tiny(5)).expect("valid scenario");
-    std::env::set_var("IPV6WEB_THREADS", "7");
-    let b = run_study(&tiny(5)).expect("valid scenario");
-    std::env::remove_var("IPV6WEB_THREADS");
-    assert_eq!(a.report, b.report, "thread count must never leak into the report");
-    assert_eq!(
-        serde_json::to_string(&a.report).unwrap(),
-        serde_json::to_string(&b.report).unwrap()
-    );
-    for (da, db) in a.dbs.iter().zip(&b.dbs) {
-        assert_eq!(da, db, "thread count must never leak into the databases");
-    }
+    // At 12 threads each of the six campaigns gets a probe pool of two
+    // workers, so pooled probing must match the inline rounds byte for byte.
+    assert_budgets_agree(5, &["1", "12"]);
+}
+
+#[test]
+fn sequential_and_parallel_reports_are_byte_identical() {
+    // A budget of 1 is the sequential reference schedule: every fan-out
+    // runs inline, in vantage order. At 4 the campaigns, IPv6-day rounds
+    // and analyses are split between vantages, and that must never change
+    // a byte of the report or the raw databases.
+    assert_budgets_agree(21, &["1", "4"]);
 }
 
 #[test]
@@ -91,28 +105,6 @@ fn memoized_epoch_rebuild_matches_from_scratch() {
         for r in direct.iter() {
             assert_eq!(memoized.route(r.dest), Some(r), "vantage {:?}", v.name);
         }
-    }
-}
-
-#[test]
-fn sequential_and_parallel_reports_are_byte_identical() {
-    // The tentpole guarantee: scheduling the six campaigns across threads
-    // must never change a byte of the report or the raw databases, at any
-    // worker budget.
-    let _g = ENV_LOCK.lock().unwrap();
-    let mut runs = Vec::new();
-    for threads in ["1", "4"] {
-        std::env::set_var("IPV6WEB_THREADS", threads);
-        for mode in [ExecutionMode::Sequential, ExecutionMode::VantageParallel] {
-            let s = run_study_mode(&tiny(21), mode).expect("valid scenario");
-            runs.push((threads, mode, serde_json::to_string(&s.report).unwrap(), s.dbs));
-        }
-    }
-    std::env::remove_var("IPV6WEB_THREADS");
-    let (_, _, ref json0, ref dbs0) = runs[0];
-    for (threads, mode, json, dbs) in &runs[1..] {
-        assert_eq!(json, json0, "report diverged at IPV6WEB_THREADS={threads}, mode={mode:?}");
-        assert_eq!(dbs, dbs0, "databases diverged at IPV6WEB_THREADS={threads}, mode={mode:?}");
     }
 }
 

@@ -4,7 +4,7 @@
 //! for the real IPv6 AS graph.
 
 use ipv6web::topology::{generate, stats, Family, Tier, TopologyConfig};
-use ipv6web::{run_study_mode, ExecutionMode, Scenario};
+use ipv6web::{run_study, Scenario};
 use std::sync::Mutex;
 
 /// `IPV6WEB_THREADS` is process-global: tests that set it run under one
@@ -32,21 +32,19 @@ fn tiny_internet(seed: u64) -> Scenario {
 }
 
 #[test]
-fn streamed_internet_tier_is_byte_identical_across_threads_and_modes() {
+fn streamed_internet_tier_is_byte_identical_across_threads() {
     let _g = ENV_LOCK.lock().unwrap();
     let mut runs = Vec::new();
     for threads in ["1", "4"] {
         std::env::set_var("IPV6WEB_THREADS", threads);
-        for mode in [ExecutionMode::Sequential, ExecutionMode::VantageParallel] {
-            let s = run_study_mode(&tiny_internet(33), mode).expect("valid scenario");
-            runs.push((threads, mode, serde_json::to_string(&s.report).unwrap(), s.dbs));
-        }
+        let s = run_study(&tiny_internet(33)).expect("valid scenario");
+        runs.push((threads, serde_json::to_string(&s.report).unwrap(), s.dbs));
     }
     std::env::remove_var("IPV6WEB_THREADS");
-    let (_, _, ref json0, ref dbs0) = runs[0];
-    for (threads, mode, json, dbs) in &runs[1..] {
-        assert_eq!(json, json0, "report diverged at IPV6WEB_THREADS={threads}, mode={mode:?}");
-        assert_eq!(dbs, dbs0, "databases diverged at IPV6WEB_THREADS={threads}, mode={mode:?}");
+    let (_, ref json0, ref dbs0) = runs[0];
+    for (threads, json, dbs) in &runs[1..] {
+        assert_eq!(json, json0, "report diverged at IPV6WEB_THREADS={threads}");
+        assert_eq!(dbs, dbs0, "databases diverged at IPV6WEB_THREADS={threads}");
     }
 }
 

@@ -5,7 +5,7 @@
 
 use ipv6web::monitor::{CampaignError, VantagePopulation};
 use ipv6web::topology::TopologyConfig;
-use ipv6web::{obs, run_study, run_study_mode, ExecutionMode, Scenario, StudyError, WorldError};
+use ipv6web::{obs, run_study, Scenario, StudyError, WorldError};
 use std::sync::Mutex;
 
 /// `IPV6WEB_THREADS` and the obs registry are process-global; tests that
@@ -37,20 +37,18 @@ fn panel_reports_and_counters_are_scheduling_invariant() {
     let mut runs = Vec::new();
     for threads in ["1", "4"] {
         std::env::set_var("IPV6WEB_THREADS", threads);
-        for mode in [ExecutionMode::Sequential, ExecutionMode::VantageParallel] {
-            obs::reset();
-            obs::enable();
-            let s = run_study_mode(&tiny_panel(23), mode).expect("valid scenario");
-            obs::disable();
-            obs::flush_thread();
-            let snap = obs::snapshot();
-            obs::reset();
-            runs.push((threads, mode, serde_json::to_string(&s.report).unwrap(), snap, s));
-        }
+        obs::reset();
+        obs::enable();
+        let s = run_study(&tiny_panel(23)).expect("valid scenario");
+        obs::disable();
+        obs::flush_thread();
+        let snap = obs::snapshot();
+        obs::reset();
+        runs.push((threads, serde_json::to_string(&s.report).unwrap(), snap, s));
     }
     std::env::remove_var("IPV6WEB_THREADS");
 
-    let (_, _, ref json0, ref snap0, ref study0) = runs[0];
+    let (_, ref json0, ref snap0, ref study0) = runs[0];
     assert_eq!(study0.report.vantages.len(), 50, "the panel really has 50 vantage points");
     let panel = study0.report.panel.as_ref().expect("population run carries the panel section");
     assert_eq!(panel.vantages, 50);
@@ -59,21 +57,21 @@ fn panel_reports_and_counters_are_scheduling_invariant() {
     assert!(study0.report.render().contains("Cross-vantage disagreement"));
     // `par.*` counters describe the scheduling shape itself (fan-out
     // calls and their widths), so — like gauges — they are allowed to
-    // differ across modes; every measurement counter must not.
+    // differ across thread counts; every measurement counter must not.
     let measured = |snap: &obs::Snapshot| {
         let mut c = snap.counters.clone();
         c.retain(|k, _| !k.starts_with("par."));
         c
     };
-    for (threads, mode, json, snap, study) in &runs[1..] {
-        assert_eq!(json, json0, "report diverged at IPV6WEB_THREADS={threads}, mode={mode:?}");
+    for (threads, json, snap, study) in &runs[1..] {
+        assert_eq!(json, json0, "report diverged at IPV6WEB_THREADS={threads}");
         assert_eq!(
             measured(snap),
             measured(snap0),
-            "counters diverged at IPV6WEB_THREADS={threads}, mode={mode:?}"
+            "counters diverged at IPV6WEB_THREADS={threads}"
         );
         for (da, db) in study0.dbs.iter().zip(&study.dbs) {
-            assert_eq!(da, db, "databases diverged at IPV6WEB_THREADS={threads}, mode={mode:?}");
+            assert_eq!(da, db, "databases diverged at IPV6WEB_THREADS={threads}");
         }
     }
 }
