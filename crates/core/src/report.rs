@@ -12,15 +12,10 @@ use ipv6web_analysis::{
 use ipv6web_monitor::{MonitorDb, VantagePoint};
 use ipv6web_web::SiteId;
 use ipv6web_xlat::ClientStack;
-use serde::{Deserialize, Serialize, Value};
+use serde::{Deserialize, Serialize};
 
 /// Every artifact of the paper's evaluation section.
-///
-/// Serialization is hand-written: the `xlat` section is emitted only when
-/// the scenario ran a translation plane, so reports from classic
-/// (zero-gateway) scenarios stay byte-identical to those written before
-/// the transition tier existed.
-#[derive(Debug, Clone, PartialEq, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Report {
     /// Table 1 metadata (vantage points).
     pub vantages: Vec<VantagePoint>,
@@ -68,46 +63,15 @@ pub struct Report {
     /// change"). Empty when the scenario schedules no route change.
     pub transition_path_changes: Vec<(String, usize, usize)>,
     /// Translated-path comparison, present only when the scenario placed
-    /// NAT64 gateways.
+    /// NAT64 gateways. An absent section is left out of the JSON, so
+    /// reports from classic (zero-gateway) scenarios stay byte-identical
+    /// to those written before the transition tier existed.
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub xlat: Option<XlatReport>,
     /// Cross-vantage disagreement, present only when the scenario generated
     /// a vantage population (spec-less runs stay byte-identical).
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub panel: Option<ipv6web_analysis::PanelReport>,
-}
-
-impl Serialize for Report {
-    fn to_value(&self) -> Value {
-        let mut fields = vec![
-            ("vantages".to_string(), self.vantages.to_value()),
-            ("vantage_start_labels".to_string(), self.vantage_start_labels.to_value()),
-            ("table2".to_string(), self.table2.to_value()),
-            ("table3".to_string(), self.table3.to_value()),
-            ("table4".to_string(), self.table4.to_value()),
-            ("table5".to_string(), self.table5.to_value()),
-            ("table6".to_string(), self.table6.to_value()),
-            ("table7".to_string(), self.table7.to_value()),
-            ("table8".to_string(), self.table8.to_value()),
-            ("table9".to_string(), self.table9.to_value()),
-            ("table10".to_string(), self.table10.to_value()),
-            ("table11".to_string(), self.table11.to_value()),
-            ("table12".to_string(), self.table12.to_value()),
-            ("table13".to_string(), self.table13.to_value()),
-            ("fig1".to_string(), self.fig1.to_value()),
-            ("fig3a".to_string(), self.fig3a.to_value()),
-            ("fig3b".to_string(), self.fig3b.to_value()),
-            ("h1".to_string(), self.h1.to_value()),
-            ("h2".to_string(), self.h2.to_value()),
-            ("better_v6".to_string(), self.better_v6.to_value()),
-            ("transition_path_changes".to_string(), self.transition_path_changes.to_value()),
-        ];
-        if let Some(x) = &self.xlat {
-            fields.push(("xlat".to_string(), x.to_value()));
-        }
-        if let Some(p) = &self.panel {
-            fields.push(("panel".to_string(), p.to_value()));
-        }
-        Value::Obj(fields)
-    }
 }
 
 /// One vantage point's translated-path summary: for a v6-only host the

@@ -49,7 +49,10 @@ pub struct Scenario {
     pub route_change: Option<(u32, f64, f64)>,
     /// Deterministic fault injection: link flaps, loss bursts, BGP session
     /// flaps, DNS and HTTP disruptions, vantage outages. An empty plan
-    /// (the default) runs the fault-free pipeline bit-identically.
+    /// (the default, and what scenario files written before fault
+    /// injection deserialize to) runs the fault-free pipeline
+    /// bit-identically.
+    #[serde(default)]
     pub faults: FaultPlan,
     /// Directory for per-round campaign checkpoints; `None` disables
     /// checkpointing. A later run with the same directory resumes each
@@ -61,6 +64,7 @@ pub struct Scenario {
     /// runs the classic pipeline bit-identically; scenario files written
     /// before the transition tier carry no `xlat` key and deserialize to
     /// that default.
+    #[serde(default)]
     pub xlat: XlatConfig,
     /// Generated vantage population: count, region mix, access-type
     /// split, white-list fraction, client-stack mix. `None` (the default,
@@ -646,38 +650,19 @@ mod tests {
     }
 
     #[test]
-    fn pre_xlat_scenario_json_still_deserializes() {
-        let mut v = serde_json::to_value(&Scenario::quick(7)).unwrap();
-        if let serde_json::Value::Obj(fields) = &mut v {
-            fields.retain(|(k, _)| k != "xlat");
+    fn scenario_json_from_before_a_field_existed_still_deserializes() {
+        // scenario files written before the transition tier, fault
+        // injection (which also added `checkpoint_dir`) and vantage
+        // populations lack those keys; each absent one takes the value
+        // that runs the classic pipeline
+        for absent in [&["xlat"][..], &["faults", "checkpoint_dir"], &["vantage_population"]] {
+            let mut v = serde_json::to_value(&Scenario::quick(7)).unwrap();
+            if let serde_json::Value::Obj(fields) = &mut v {
+                fields.retain(|(k, _)| !absent.contains(&k.as_str()));
+            }
+            let back: Scenario = serde_json::from_str(&serde_json::to_string(&v).unwrap()).unwrap();
+            assert_eq!(back, Scenario::quick(7), "without {absent:?}");
         }
-        let back: Scenario = serde_json::from_str(&serde_json::to_string(&v).unwrap()).unwrap();
-        assert_eq!(back, Scenario::quick(7), "omitted xlat defaults to the classic pipeline");
-    }
-
-    #[test]
-    fn pre_fault_scenario_json_still_deserializes() {
-        // scenario files written before this crate knew about fault
-        // injection carry neither `faults` nor `checkpoint_dir`
-        let mut v = serde_json::to_value(&Scenario::quick(7)).unwrap();
-        if let serde_json::Value::Obj(fields) = &mut v {
-            fields.retain(|(k, _)| k != "faults" && k != "checkpoint_dir");
-        }
-        let json = serde_json::to_string(&v).unwrap();
-        let back: Scenario = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, Scenario::quick(7), "omitted fields default to the no-fault pipeline");
-    }
-
-    #[test]
-    fn pre_panel_scenario_json_still_deserializes() {
-        // scenario files written before vantage populations carry no
-        // `vantage_population` key
-        let mut v = serde_json::to_value(&Scenario::quick(7)).unwrap();
-        if let serde_json::Value::Obj(fields) = &mut v {
-            fields.retain(|(k, _)| k != "vantage_population");
-        }
-        let back: Scenario = serde_json::from_str(&serde_json::to_string(&v).unwrap()).unwrap();
-        assert_eq!(back, Scenario::quick(7), "omitted population keeps the Table 1 six");
     }
 
     #[test]

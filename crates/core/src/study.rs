@@ -167,7 +167,13 @@ fn run_study_from_mark(
     let ckpt_dir = checkpoint_dir;
     if let Some(dir) = ckpt_dir {
         validate_checkpoint_dir(dir).map_err(CampaignError::Config)?;
-        std::fs::create_dir_all(dir).map_err(|source| {
+        // Temp names carry the writer's pid, so a crash mid-write leaves a
+        // `*.tmp` no later write replaces; sweep them before resuming.
+        let prepare = || {
+            std::fs::create_dir_all(dir)?;
+            ipv6web_monitor::store::remove_torn_tmp(dir)
+        };
+        prepare().map_err(|source| {
             StudyError::Campaign(CampaignError::Checkpoint { path: dir.to_path_buf(), source })
         })?;
         // Refuse to resume a directory stamped by a different vantage

@@ -563,6 +563,25 @@ mod tests {
     }
 
     #[test]
+    fn persisted_identities_are_pinned() {
+        // Daemon job ids and the world cache key on `config_hash`, sweep
+        // record keys embed it, and checkpoint directories are stamped
+        // with `population_hash`. A change to either orphans every stored
+        // job id, sweep key and checkpoint stamp, so it must be deliberate.
+        let cases = [
+            (Scenario::quick(42), 0x369c_43ed_d6cb_d994, 0xabb7_cf68_dd9d_3556, false),
+            (Scenario::nat64(42), 0x277c_1678_4ee4_037c, 0x01e6_3247_708f_7b5a, true),
+        ];
+        for (scenario, config_hash, population_hash, emits_stack) in cases {
+            assert_eq!(scenario.config_hash(), config_hash);
+            let w = World::build(&scenario);
+            assert_eq!(ipv6web_monitor::population_hash(&w.vantages), population_hash);
+            let json = serde_json::to_string(&w.vantages).unwrap();
+            assert_eq!(json.contains("\"stack\""), emits_stack, "{json}");
+        }
+    }
+
+    #[test]
     fn too_small_topology_is_a_typed_error() {
         // classic six: no dual-stack access ASes at all
         let mut s = Scenario::quick(3);

@@ -237,6 +237,11 @@ mod tests {
         assert!(body.contains("galactic"), "{body}");
         let (status, _) = get(&daemon, "POST", "/jobs", "not json at all");
         assert_eq!(status, 400);
+        // nesting past the parser's limit is a parse error, not a stack
+        // overflow that takes the daemon down
+        let (status, body) = get(&daemon, "POST", "/jobs", &"[".repeat(100_000));
+        assert_eq!(status, 400, "{body}");
+        assert!(body.contains("recursion limit"), "{body}");
         let mut huge = ipv6web_core::Scenario::quick(1);
         huge.tail_sites = 5_000_000_000;
         let body = format!("{{\"scenario\": {}}}", serde_json::to_string(&huge).unwrap());

@@ -8,7 +8,7 @@
 
 use ipv6web_core::{Scenario, SpanRecord};
 use ipv6web_faults::FaultPlan;
-use serde::{DeError, Deserialize, Serialize, Value};
+use serde::{Deserialize, Serialize};
 
 /// What a client submits to `POST /jobs`.
 ///
@@ -50,7 +50,8 @@ impl JobSpec {
 
 /// Lifecycle of a job. Serialized as its lowercase name, which is what CI
 /// polls for (`"running"`, `"done"`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[serde(rename_all = "lowercase")]
 pub enum JobState {
     /// Accepted, waiting for a worker.
     Queued,
@@ -70,34 +71,6 @@ impl JobState {
             JobState::Running => "running",
             JobState::Done => "done",
             JobState::Failed => "failed",
-        }
-    }
-
-    /// Inverse of [`JobState::name`].
-    pub fn parse(s: &str) -> Option<JobState> {
-        match s {
-            "queued" => Some(JobState::Queued),
-            "running" => Some(JobState::Running),
-            "done" => Some(JobState::Done),
-            "failed" => Some(JobState::Failed),
-            _ => None,
-        }
-    }
-}
-
-impl Serialize for JobState {
-    fn to_value(&self) -> Value {
-        Value::Str(self.name().to_string())
-    }
-}
-
-impl Deserialize for JobState {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        match v {
-            Value::Str(s) => {
-                JobState::parse(s).ok_or_else(|| DeError::new(format!("unknown job state `{s}`")))
-            }
-            other => Err(DeError::new(format!("job state must be a string, got {other:?}"))),
         }
     }
 }
@@ -218,10 +191,17 @@ mod tests {
 
     #[test]
     fn job_state_roundtrips_lowercase() {
-        for st in [JobState::Queued, JobState::Running, JobState::Done, JobState::Failed] {
-            assert_eq!(JobState::parse(st.name()), Some(st));
+        // serde writes exactly `name()` for every variant and reads it back;
+        // CI's daemon smoke polls for "running" and "done"
+        for (st, name) in [
+            (JobState::Queued, "queued"),
+            (JobState::Running, "running"),
+            (JobState::Done, "done"),
+            (JobState::Failed, "failed"),
+        ] {
+            assert_eq!(st.name(), name);
             let json = serde_json::to_string(&st).unwrap();
-            assert_eq!(json, format!("\"{}\"", st.name()));
+            assert_eq!(json, format!("\"{name}\""));
             assert_eq!(serde_json::from_str::<JobState>(&json).unwrap(), st);
         }
         assert!(serde_json::from_str::<JobState>("\"paused\"").is_err());

@@ -34,5 +34,5 @@ pub mod worlds;
 pub use api::serve;
 pub use daemon::{BootReport, Daemon};
 pub use job::{JobRecord, JobSpec, JobState};
-pub use store::{JobStore, ScanOutcome};
+pub use store::JobStore;
 pub use worlds::WorldCache;

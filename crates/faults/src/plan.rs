@@ -128,10 +128,10 @@ pub struct XlatOutage {
 /// through it. An empty (default) plan injects nothing and leaves every
 /// output byte-identical to a run without fault support.
 ///
-/// Deserialization is hand-written (the vendored serde derive has no
-/// attribute support): every field may be omitted and defaults to empty /
-/// [`RetryPolicy::paper`], so `{}` is a valid no-op plan file.
-#[derive(Debug, Clone, PartialEq, Default, Serialize)]
+/// Every field may be omitted and defaults to empty / [`RetryPolicy::paper`],
+/// so `{}` is a valid no-op plan file.
+#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[serde(default)]
 pub struct FaultPlan {
     /// Retry/backoff policy used by fault-aware consumers.
     pub retry: RetryPolicy,
@@ -149,38 +149,6 @@ pub struct FaultPlan {
     pub vantage_outages: Vec<VantageOutage>,
     /// NAT64 gateway outages.
     pub xlat_outages: Vec<XlatOutage>,
-}
-
-impl Deserialize for FaultPlan {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::DeError> {
-        fn list<T: Deserialize>(v: &serde::Value, name: &str) -> Result<Vec<T>, serde::DeError> {
-            match v.get_field(name) {
-                Some(x) => Deserialize::from_value(x),
-                None => Ok(Vec::new()),
-            }
-        }
-        if v.as_obj().is_none() {
-            return Err(serde::DeError::new("expected object for FaultPlan"));
-        }
-        Ok(FaultPlan {
-            retry: match v.get_field("retry") {
-                Some(x) => Deserialize::from_value(x)?,
-                None => RetryPolicy::paper(),
-            },
-            link_flaps: list(v, "link_flaps")?,
-            loss_bursts: list(v, "loss_bursts")?,
-            bgp_flaps: list(v, "bgp_flaps")?,
-            dns_faults: list(v, "dns_faults")?,
-            http_faults: list(v, "http_faults")?,
-            vantage_outages: list(v, "vantage_outages")?,
-            xlat_outages: list(v, "xlat_outages")?,
-        })
-    }
-
-    fn missing_field(_name: &str) -> Result<Self, serde::DeError> {
-        // scenarios written before fault injection existed carry no plan
-        Ok(FaultPlan::default())
-    }
 }
 
 fn window_ok(from_week: u32, weeks: u32, total_weeks: u32, what: &str) -> Result<(), String> {

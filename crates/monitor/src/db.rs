@@ -187,10 +187,9 @@ impl MonitorDb {
     /// Writes the database as pretty JSON (the central repository's
     /// archival format).
     ///
-    /// The write is atomic — JSON lands in a sibling temp file first and is
-    /// renamed into place — so a crash mid-write (or mid-campaign
-    /// checkpoint) never leaves a torn snapshot behind. Errors carry the
-    /// target path.
+    /// The write is atomic ([`crate::store::write_atomic`]), so a crash
+    /// mid-write (or mid-campaign checkpoint) never leaves a torn snapshot
+    /// behind. Errors carry the target path.
     pub fn save_json(&self, path: impl AsRef<std::path::Path>) -> std::io::Result<()> {
         let path = path.as_ref();
         let with_path =
@@ -198,11 +197,7 @@ impl MonitorDb {
         let json = serde_json::to_string_pretty(self)
             .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))
             .map_err(with_path)?;
-        let mut tmp = path.as_os_str().to_owned();
-        tmp.push(".tmp");
-        let tmp = std::path::PathBuf::from(tmp);
-        std::fs::write(&tmp, json).map_err(with_path)?;
-        std::fs::rename(&tmp, path).map_err(with_path)
+        crate::store::write_atomic(path, json.as_bytes()).map_err(with_path)
     }
 
     /// Loads a database written by [`MonitorDb::save_json`].

@@ -23,12 +23,17 @@
 //! [`disturbance`] injects the real-world messiness of Section 5.1:
 //! step changes (equipment upgrades, path changes) and steady drifts, which
 //! the analysis crate's sanitization then has to catch.
+//!
+//! [`store`] is the crash-safe write protocol and recovery scan shared by
+//! the campaign checkpoints, the daemon's job store and the sweep's result
+//! store.
 
 pub mod db;
 pub mod disturbance;
 pub mod population;
 pub mod probe;
 pub mod round;
+pub mod store;
 pub mod vantage;
 
 pub use db::{MonitorDb, PerfSample, SiteRecord};

@@ -15,12 +15,13 @@ use ipv6web_topology::{AsId, Family, Region, Relationship, Tier, Topology};
 use ipv6web_xlat::ClientStack;
 use rand::seq::SliceRandom;
 use rand::Rng;
-use serde::{DeError, Deserialize, Serialize, Value};
+use serde::{Deserialize, Serialize};
 
 /// Spec for a generated vantage population. Every field has a default, so
 /// `{"count": 200}` is a complete spec; an absent spec on the scenario
 /// means the paper's Table 1 six.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(default)]
 pub struct VantagePopulation {
     /// How many vantage points to generate.
     pub count: usize,
@@ -58,40 +59,6 @@ impl Default for VantagePopulation {
             stacks: Vec::new(),
             max_start_share: 0.75,
         }
-    }
-}
-
-impl Deserialize for VantagePopulation {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        let d = VantagePopulation::default();
-        let share = |name: &str, def: f64| -> Result<f64, DeError> {
-            match v.get_field(name) {
-                Some(x) => f64::from_value(x),
-                None => Ok(def),
-            }
-        };
-        Ok(VantagePopulation {
-            count: match v.get_field("count") {
-                Some(x) => usize::from_value(x)?,
-                None => d.count,
-            },
-            regions: match v.get_field("regions") {
-                Some(x) => Deserialize::from_value(x)?,
-                None => d.regions,
-            },
-            academic_share: share("academic_share", d.academic_share)?,
-            as_path_share: share("as_path_share", d.as_path_share)?,
-            white_list_share: share("white_list_share", d.white_list_share)?,
-            stacks: match v.get_field("stacks") {
-                Some(x) => Deserialize::from_value(x)?,
-                None => d.stacks,
-            },
-            max_start_share: share("max_start_share", d.max_start_share)?,
-        })
-    }
-
-    fn missing_field(_name: &str) -> Result<Self, DeError> {
-        Ok(VantagePopulation::default())
     }
 }
 

@@ -515,14 +515,10 @@ pub fn check_population_stamp(dir: &Path, vantages: &[VantagePoint]) -> Result<(
             Ok(())
         }
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-            // atomic temp + rename, same discipline as checkpoints
-            let tmp = path.with_extension("json.tmp");
-            let write = || -> std::io::Result<()> {
-                let stamp = PopulationStamp { count, hash };
-                std::fs::write(&tmp, serde_json::to_string(&stamp).expect("stamp serializes"))?;
-                std::fs::rename(&tmp, &path)
-            };
-            write().map_err(|source| CampaignError::Checkpoint { path, source })
+            let stamp =
+                serde_json::to_string(&PopulationStamp { count, hash }).expect("stamp serializes");
+            crate::store::write_atomic(&path, stamp.as_bytes())
+                .map_err(|source| CampaignError::Checkpoint { path, source })
         }
         Err(source) => Err(CampaignError::Checkpoint { path, source }),
     }

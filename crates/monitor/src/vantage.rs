@@ -2,7 +2,7 @@
 
 use ipv6web_topology::AsId;
 use ipv6web_xlat::ClientStack;
-use serde::{Deserialize, Serialize, Value};
+use serde::{Deserialize, Serialize};
 
 /// Academic or commercial network (Table 1's "Type" column).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -23,12 +23,7 @@ impl std::fmt::Display for VantageKind {
 }
 
 /// One monitoring vantage point.
-///
-/// Serialization is hand-written: the `stack` field is emitted only when it
-/// differs from [`ClientStack::DualStack`], so snapshots of classic
-/// dual-stack studies stay byte-identical to those written before the
-/// client-stack axis existed (and deserialize with the same meaning).
-#[derive(Debug, Clone, PartialEq, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct VantagePoint {
     /// Short name ("Penn", "Comcast", …).
     pub name: String,
@@ -50,27 +45,16 @@ pub struct VantagePoint {
     pub external_inputs: bool,
     /// What address families the monitor's host actually holds. The
     /// paper's vantages are all dual-stack; the nat64 tier marks some as
-    /// v6-only (with or without a CLAT).
+    /// v6-only (with or without a CLAT). Written only when it is not
+    /// dual-stack, and read as dual-stack when absent, so snapshots of
+    /// classic studies stay byte-identical to those written before the
+    /// client-stack axis existed.
+    #[serde(default, skip_serializing_if = "is_dual_stack")]
     pub stack: ClientStack,
 }
 
-impl Serialize for VantagePoint {
-    fn to_value(&self) -> Value {
-        let mut fields = vec![
-            ("name".to_string(), self.name.to_value()),
-            ("location".to_string(), self.location.to_value()),
-            ("as_id".to_string(), self.as_id.to_value()),
-            ("start_week".to_string(), self.start_week.to_value()),
-            ("has_as_path".to_string(), self.has_as_path.to_value()),
-            ("white_listed".to_string(), self.white_listed.to_value()),
-            ("kind".to_string(), self.kind.to_value()),
-            ("external_inputs".to_string(), self.external_inputs.to_value()),
-        ];
-        if self.stack != ClientStack::DualStack {
-            fields.push(("stack".to_string(), self.stack.to_value()));
-        }
-        Value::Obj(fields)
-    }
+fn is_dual_stack(stack: &ClientStack) -> bool {
+    *stack == ClientStack::DualStack
 }
 
 /// Error from [`VantagePoint::try_paper_table1`]: Table 1 wires exactly six

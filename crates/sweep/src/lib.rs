@@ -31,4 +31,4 @@ pub mod store;
 pub use orchestrator::{backoff_delay, run_sweep, run_worker, SweepConfig, SweepSummary};
 pub use record::{StudyMetrics, StudyRecord, StudyStatus, SWEEP_SCHEMA};
 pub use spec::{ChaosSpec, StudyCase, Supervision, SupervisionSpec, SweepSpec, XlatAxis};
-pub use store::{ResultStore, ScanOutcome};
+pub use store::ResultStore;

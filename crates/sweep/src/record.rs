@@ -12,54 +12,20 @@
 
 use crate::spec::StudyCase;
 use ipv6web_core::Report;
-use serde::{DeError, Deserialize, Serialize, Value};
+use serde::{Deserialize, Serialize};
 
 /// Schema tag written into the merged results document.
 pub const SWEEP_SCHEMA: &str = "ipv6web-sweep/v1";
 
 /// Terminal state of one study. Serialized lowercase, like `JobState`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[serde(rename_all = "lowercase")]
 pub enum StudyStatus {
     /// The study ran to completion; metrics are present.
     Done,
     /// The study failed `max_attempts` times and was recorded as poison;
     /// the sweep completed without it.
     Quarantined,
-}
-
-impl StudyStatus {
-    /// Lowercase wire name.
-    pub fn name(self) -> &'static str {
-        match self {
-            StudyStatus::Done => "done",
-            StudyStatus::Quarantined => "quarantined",
-        }
-    }
-
-    /// Inverse of [`StudyStatus::name`].
-    pub fn parse(s: &str) -> Option<StudyStatus> {
-        match s {
-            "done" => Some(StudyStatus::Done),
-            "quarantined" => Some(StudyStatus::Quarantined),
-            _ => None,
-        }
-    }
-}
-
-impl Serialize for StudyStatus {
-    fn to_value(&self) -> Value {
-        Value::Str(self.name().to_string())
-    }
-}
-
-impl Deserialize for StudyStatus {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        match v {
-            Value::Str(s) => StudyStatus::parse(s)
-                .ok_or_else(|| DeError::new(format!("unknown study status `{s}`"))),
-            other => Err(DeError::new(format!("study status must be a string, got {other:?}"))),
-        }
-    }
 }
 
 /// The headline metrics extracted from a finished study's [`Report`] —
@@ -188,10 +154,11 @@ mod tests {
 
     #[test]
     fn status_roundtrips_lowercase() {
-        for st in [StudyStatus::Done, StudyStatus::Quarantined] {
-            assert_eq!(StudyStatus::parse(st.name()), Some(st));
+        // serde writes exactly the lowercase name for every variant and
+        // reads it back
+        for (st, name) in [(StudyStatus::Done, "done"), (StudyStatus::Quarantined, "quarantined")] {
             let json = serde_json::to_string(&st).unwrap();
-            assert_eq!(json, format!("\"{}\"", st.name()));
+            assert_eq!(json, format!("\"{name}\""));
             assert_eq!(serde_json::from_str::<StudyStatus>(&json).unwrap(), st);
         }
         assert!(serde_json::from_str::<StudyStatus>("\"maybe\"").is_err());

@@ -3,9 +3,9 @@
 //! One directory holds the sweep's durable state:
 //!
 //! * `study-{key}.json` — one [`StudyRecord`] per finished (done or
-//!   quarantined) case, written atomically by whichever process finished
-//!   it. This is the append-only progress log crash-resume replays: a
-//!   restarted orchestrator re-runs exactly the cases with no record.
+//!   quarantined) case, written by whichever process finished it. This is
+//!   the append-only progress log crash-resume replays: a restarted
+//!   orchestrator re-runs exactly the cases with no record.
 //! * `results.json` — the merged columnar document (one array per metric
 //!   column, rows sorted by case index), rebuilt from the records at the
 //!   end of every orchestrator run. Order-independent on merge: any
@@ -14,13 +14,16 @@
 //! * `{key}.hb` / `{key}.crashed` — worker heartbeats and chaos markers;
 //!   operational scratch, never scanned as records.
 //!
-//! [`ResultStore::scan`] follows the job store's recovery discipline:
-//! torn `*.tmp` files are deleted, unparseable or misnamed records are
-//! quarantined as `*.corrupt` (surfaced on the `store.quarantined`
-//! counter) and their cases re-run.
+//! Writes and [`ResultStore::scan`] follow the shared record store
+//! ([`ipv6web_monitor::store`]): every write is an atomic
+//! `<file>.<pid>.tmp` + rename, so a respawned worker racing an orphan
+//! cannot tear the file both finish, and the scan deletes torn temp
+//! files and quarantines unparseable or misnamed records as `*.corrupt`
+//! (surfaced on the `store.quarantined` counter) so their cases re-run.
 
 use crate::aggregate::render_summary;
 use crate::record::{StudyRecord, StudyStatus, SWEEP_SCHEMA};
+use ipv6web_monitor::store::{self, ScanOutcome};
 use serde::Serialize;
 use serde_json::Value;
 use std::io;
@@ -30,17 +33,6 @@ use std::path::{Path, PathBuf};
 #[derive(Debug, Clone)]
 pub struct ResultStore {
     dir: PathBuf,
-}
-
-/// What a [`ResultStore::scan`] found.
-#[derive(Debug, Default)]
-pub struct ScanOutcome {
-    /// Parseable records, sorted by case index.
-    pub records: Vec<StudyRecord>,
-    /// Corrupt/misnamed record files, renamed to `*.corrupt` and skipped.
-    pub quarantined: Vec<PathBuf>,
-    /// Torn `*.tmp` files deleted.
-    pub removed_tmp: usize,
 }
 
 impl ResultStore {
@@ -80,31 +72,17 @@ impl ResultStore {
         self.dir.join("summary.txt")
     }
 
-    /// Atomically writes `bytes` to `path` via a `.tmp` sibling + rename.
-    /// The temp name carries the writer's pid: several processes (a
-    /// re-spawned worker racing an orphan from before an orchestrator
-    /// kill) may finish the same case, and their writes must not tear
-    /// each other. Both write identical bytes, so whoever renames last
-    /// changes nothing.
-    fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
-        let mut tmp = path.as_os_str().to_owned();
-        tmp.push(format!(".{}.tmp", std::process::id()));
-        let tmp = PathBuf::from(tmp);
-        std::fs::write(&tmp, bytes)?;
-        std::fs::rename(&tmp, path)
-    }
-
     /// Persists a record (atomic; overwrites any previous version).
     pub fn save(&self, record: &StudyRecord) -> io::Result<()> {
         let json = serde_json::to_string_pretty(record)
             .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-        Self::write_atomic(&self.record_path(&record.key), json.as_bytes())
+        store::write_atomic(&self.record_path(&record.key), json.as_bytes())
     }
 
-    /// Bumps a heartbeat file to `count` (atomic, pid-suffixed temp: an
-    /// orphaned predecessor writing the same file cannot tear it).
+    /// Bumps a heartbeat file to `count` (atomic: an orphaned predecessor
+    /// writing the same file cannot tear it).
     pub fn beat(&self, key: &str, count: u64) -> io::Result<()> {
-        Self::write_atomic(&self.heartbeat_path(key), count.to_string().as_bytes())
+        store::write_atomic(&self.heartbeat_path(key), count.to_string().as_bytes())
     }
 
     /// Reads a heartbeat counter; `None` when absent or torn.
@@ -112,42 +90,13 @@ impl ResultStore {
         std::fs::read_to_string(self.heartbeat_path(key)).ok()?.trim().parse().ok()
     }
 
-    /// Recovery sweep over the store directory: deletes torn temp files,
-    /// quarantines corrupt or misnamed records (bumping the
-    /// `store.quarantined` counter), returns survivors sorted by index.
-    pub fn scan(&self) -> io::Result<ScanOutcome> {
-        let mut out = ScanOutcome::default();
-        let mut entries: Vec<PathBuf> =
-            std::fs::read_dir(&self.dir)?.filter_map(|e| e.ok().map(|e| e.path())).collect();
-        entries.sort(); // deterministic quarantine order for logs/tests
-        for path in entries {
-            let Some(name) = path.file_name().and_then(|n| n.to_str()).map(String::from) else {
-                continue;
-            };
-            if name.ends_with(".tmp") {
-                std::fs::remove_file(&path)?;
-                out.removed_tmp += 1;
-                continue;
-            }
-            if !name.starts_with("study-") || !name.ends_with(".json") {
-                continue;
-            }
-            let parsed = std::fs::read_to_string(&path)
-                .ok()
-                .and_then(|text| serde_json::from_str::<StudyRecord>(&text).ok())
-                .filter(|rec| format!("study-{}.json", rec.key) == name);
-            match parsed {
-                Some(rec) => out.records.push(rec),
-                None => {
-                    let mut corrupt = path.as_os_str().to_owned();
-                    corrupt.push(".corrupt");
-                    let corrupt = PathBuf::from(corrupt);
-                    std::fs::rename(&path, &corrupt)?;
-                    ipv6web_obs::inc("store.quarantined");
-                    out.quarantined.push(corrupt);
-                }
-            }
-        }
+    /// Recovery sweep over the store directory; records come back sorted
+    /// by case index.
+    pub fn scan(&self) -> io::Result<ScanOutcome<StudyRecord>> {
+        let is_record = |name: &str| name.starts_with("study-") && name.ends_with(".json");
+        let mut out = store::scan(&self.dir, is_record, |rec: &StudyRecord| {
+            format!("study-{}.json", rec.key)
+        })?;
         out.records.sort_by_key(|r| r.index);
         Ok(out)
     }
@@ -159,9 +108,9 @@ impl ResultStore {
         let mut sorted: Vec<&StudyRecord> = records.iter().collect();
         sorted.sort_by_key(|r| r.index);
         let results = merged_results_json(&sorted);
-        Self::write_atomic(&self.results_path(), results.as_bytes())?;
+        store::write_atomic(&self.results_path(), results.as_bytes())?;
         let summary = render_summary(&sorted);
-        Self::write_atomic(&self.summary_path(), summary.as_bytes())
+        store::write_atomic(&self.summary_path(), summary.as_bytes())
     }
 }
 
@@ -249,59 +198,15 @@ mod tests {
         store.save(&recs[2]).unwrap();
         store.save(&recs[0]).unwrap();
         store.save(&recs[1]).unwrap();
-        let scan = store.scan().unwrap();
-        assert_eq!(scan.records, recs);
-        assert!(scan.quarantined.is_empty());
-        assert_eq!(scan.removed_tmp, 0);
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn scan_quarantines_corrupt_and_misnamed_counting_them() {
-        let dir = tmpdir("recovery");
-        let store = ResultStore::open(&dir).unwrap();
-        let recs = records();
-        store.save(&recs[0]).unwrap();
-        // torn temp from a crash mid-write
-        std::fs::write(dir.join("study-zzz.json.12345.tmp"), b"{\"key\": \"zz").unwrap();
-        // truncated record
-        std::fs::write(dir.join("study-00009-beef.json"), b"{\"key\": \"00009-beef\"").unwrap();
-        // valid record under the wrong filename: not trusted
-        let stray = serde_json::to_string_pretty(&recs[1]).unwrap();
-        std::fs::write(dir.join("study-99999-cafe.json"), stray).unwrap();
-
-        ipv6web_obs::reset();
-        ipv6web_obs::enable();
-        let scan = store.scan().unwrap();
-        ipv6web_obs::flush_thread();
-        assert_eq!(scan.records, vec![recs[0].clone()]);
-        assert_eq!(scan.removed_tmp, 1);
-        assert_eq!(scan.quarantined.len(), 2);
-        assert!(dir.join("study-00009-beef.json.corrupt").exists());
-        let snap = ipv6web_obs::snapshot();
-        assert_eq!(snap.counters.get("store.quarantined"), Some(&2));
-        ipv6web_obs::reset();
-
-        // a second scan is a no-op: corrupt files stay quarantined
-        let again = store.scan().unwrap();
-        assert_eq!(again.records.len(), 1);
-        assert!(again.quarantined.is_empty());
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn scan_ignores_heartbeats_markers_and_merged_outputs() {
-        let dir = tmpdir("foreign");
-        let store = ResultStore::open(&dir).unwrap();
-        let recs = records();
-        store.save(&recs[0]).unwrap();
+        // heartbeats, chaos markers and merged outputs are not records
         store.beat(&recs[1].key, 7).unwrap();
         assert_eq!(store.read_beat(&recs[1].key), Some(7));
         std::fs::write(store.crash_marker_path(&recs[2].key), b"x").unwrap();
         store.write_merged(&recs).unwrap();
         let scan = store.scan().unwrap();
-        assert_eq!(scan.records.len(), 1);
+        assert_eq!(scan.records, recs);
         assert!(scan.quarantined.is_empty(), "{:?}", scan.quarantined);
+        assert_eq!(scan.removed_tmp, 0);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -28,16 +28,15 @@ use ipv6web_stats::derive_rng;
 use ipv6web_topology::{AsId, Tier, Topology};
 use rand::seq::SliceRandom;
 use rand::Rng;
-use serde::{DeError, Deserialize, Serialize, Value};
+use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::net::{Ipv4Addr, Ipv6Addr};
 
 /// What address families a vantage point's host stack actually holds.
 ///
-/// Serialized as a kebab-case string; a missing field deserializes as
-/// [`ClientStack::DualStack`], so every pre-xlat vantage snapshot and
-/// scenario file keeps meaning exactly what it meant.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
+/// Serialized as a kebab-case string.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[serde(rename_all = "kebab-case")]
 pub enum ClientStack {
     /// Classic dual-stack host: native IPv4 and IPv6, happy-eyeballs races.
     #[default]
@@ -60,16 +59,6 @@ impl ClientStack {
         }
     }
 
-    /// Inverse of [`ClientStack::name`].
-    pub fn parse(s: &str) -> Option<ClientStack> {
-        match s {
-            "dual-stack" => Some(ClientStack::DualStack),
-            "v6-only" => Some(ClientStack::V6Only),
-            "v6-only-clat" => Some(ClientStack::V6OnlyClat),
-            _ => None,
-        }
-    }
-
     /// Whether this stack's resolver runs in DNS64 mode and its "IPv4"
     /// exchanges ride a NAT64 translator.
     pub fn translates_v4(self) -> bool {
@@ -85,26 +74,6 @@ impl ClientStack {
 impl fmt::Display for ClientStack {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(self.name())
-    }
-}
-
-impl Serialize for ClientStack {
-    fn to_value(&self) -> Value {
-        Value::Str(self.name().to_string())
-    }
-}
-
-impl Deserialize for ClientStack {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        match v {
-            Value::Str(s) => ClientStack::parse(s)
-                .ok_or_else(|| DeError::new(format!("unknown client stack `{s}`"))),
-            other => Err(DeError::new(format!("client stack must be a string, got {other:?}"))),
-        }
-    }
-
-    fn missing_field(_name: &str) -> Result<Self, DeError> {
-        Ok(ClientStack::DualStack)
     }
 }
 
@@ -158,8 +127,9 @@ pub fn is_synthesized(v6: Ipv6Addr) -> bool {
 ///
 /// The default is the pre-xlat world: zero gateways, every vantage
 /// dual-stack — a scenario file without this block behaves exactly as it
-/// did before the field existed (every field has a missing-field default).
-#[derive(Debug, Clone, PartialEq, Serialize)]
+/// did before the field existed (every missing field takes its default).
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(default)]
 pub struct XlatConfig {
     /// NAT64 gateways to place in provider ASes. Zero disables the whole
     /// translation plane.
@@ -193,37 +163,6 @@ impl Default for XlatConfig {
             clat_ms: 0.4,
             stacks: Vec::new(),
         }
-    }
-}
-
-impl Deserialize for XlatConfig {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        let d = XlatConfig::default();
-        let field = |name: &str, def: f64| -> Result<f64, DeError> {
-            match v.get_field(name) {
-                Some(x) => f64::from_value(x),
-                None => Ok(def),
-            }
-        };
-        Ok(XlatConfig {
-            gateways: match v.get_field("gateways") {
-                Some(x) => usize::from_value(x)?,
-                None => d.gateways,
-            },
-            setup_ms: field("setup_ms", d.setup_ms)?,
-            per_exchange_ms: field("per_exchange_ms", d.per_exchange_ms)?,
-            capacity_kbps: field("capacity_kbps", d.capacity_kbps)?,
-            extra_loss: field("extra_loss", d.extra_loss)?,
-            clat_ms: field("clat_ms", d.clat_ms)?,
-            stacks: match v.get_field("stacks") {
-                Some(x) => Deserialize::from_value(x)?,
-                None => d.stacks,
-            },
-        })
-    }
-
-    fn missing_field(_name: &str) -> Result<Self, DeError> {
-        Ok(XlatConfig::default())
     }
 }
 
@@ -382,13 +321,18 @@ mod tests {
 
     #[test]
     fn client_stack_serde_and_default() {
-        for s in [ClientStack::DualStack, ClientStack::V6Only, ClientStack::V6OnlyClat] {
-            assert_eq!(ClientStack::parse(s.name()), Some(s));
+        // serde writes exactly `name()` for every variant and reads it back
+        for (s, name) in [
+            (ClientStack::DualStack, "dual-stack"),
+            (ClientStack::V6Only, "v6-only"),
+            (ClientStack::V6OnlyClat, "v6-only-clat"),
+        ] {
+            assert_eq!(s.name(), name);
             let json = serde_json::to_string(&s).unwrap();
-            assert_eq!(json, format!("\"{}\"", s.name()));
+            assert_eq!(json, format!("\"{name}\""));
             assert_eq!(serde_json::from_str::<ClientStack>(&json).unwrap(), s);
         }
-        assert_eq!(ClientStack::missing_field("stack").unwrap(), ClientStack::DualStack);
+        assert_eq!(ClientStack::default(), ClientStack::DualStack);
         assert!(serde_json::from_str::<ClientStack>("\"carrier-pigeon\"").is_err());
     }
 

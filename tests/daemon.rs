@@ -170,6 +170,10 @@ fn boot_resumes_killed_job_to_identical_report() {
         )
         .expect("partial campaign runs");
     }
+    // and torn checkpoint temp files, under both the pid-suffixed name and
+    // the older un-suffixed one
+    std::fs::write(ckpt.join("penn.json.4242.tmp"), b"{\"vantage\": \"Pe").unwrap();
+    std::fs::write(ckpt.join("penn.json.tmp"), b"{").unwrap();
 
     // boot: the daemon must find the in-flight job and re-queue it
     let (daemon, boot) = Daemon::open(&store_dir, 1).unwrap();
@@ -184,6 +188,12 @@ fn boot_resumes_killed_job_to_identical_report() {
     assert_eq!(done.resumes, 1);
     let report = daemon.report_bytes(&rec.id).unwrap().expect("report written");
     assert_eq!(report, reference, "resumed report must be byte-identical to a clean run");
+    let leftovers: Vec<String> = std::fs::read_dir(&ckpt)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+        .filter(|name| name.ends_with(".tmp"))
+        .collect();
+    assert!(leftovers.is_empty(), "torn temp files must not survive a resume: {leftovers:?}");
 
     daemon.shutdown();
     for h in workers {
