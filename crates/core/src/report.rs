@@ -233,7 +233,7 @@ impl Report {
 
         // transition removals attributable to real route changes
         let mut transition_path_changes = Vec::new();
-        if let Some((_, late_tables)) = &world.v6_epoch {
+        if let Some((_, late_tables)) = world.scenario_epoch() {
             for a in analyses {
                 let vantage_idx = world
                     .vantages

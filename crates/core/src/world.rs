@@ -35,9 +35,15 @@ pub struct World {
     pub vantages: Vec<VantagePoint>,
     /// Per-vantage `(IPv4, IPv6)` BGP tables, in `vantages` order.
     pub tables: Vec<(BgpTable, BgpTable)>,
-    /// Post-epoch IPv6 tables (same order), when the scenario schedules a
-    /// mid-campaign route change, plus the epoch week.
-    pub v6_epoch: Option<(u32, Vec<BgpTable>)>,
+    /// Cumulative v6 routing epochs `(week, per-vantage tables)` sorted by
+    /// week, tables in `vantages` order: the scenario's scheduled route
+    /// change and, under fault injection, every BGP session flap, the
+    /// scenario event first on ties. Probes walk the whole chain when
+    /// faults are active; without faults it holds the scenario event alone.
+    v6_epochs: Vec<(u32, Vec<BgpTable>)>,
+    /// Where the scenario's route change sits in `v6_epochs`; read it
+    /// through [`World::scenario_epoch`].
+    scenario_epoch: Option<usize>,
     /// The post-epoch topology (for diagnostics and path-change
     /// attribution), when scheduled.
     pub topo_late: Option<Topology>,
@@ -45,12 +51,6 @@ pub struct World {
     pub disturbances: Disturbances,
     /// The fault injector, when the scenario's plan is non-empty.
     pub injector: Option<FaultInjector>,
-    /// Cumulative v6 routing epochs `(week, per-vantage tables)` sorted by
-    /// week, covering the scenario's scheduled route change *and* injected
-    /// BGP session flaps — the chain probes walk when faults are active.
-    /// Empty when the plan is empty (then `v6_epoch` alone carries the
-    /// scenario epoch, exactly as before fault injection existed).
-    pub fault_epochs: Vec<(u32, Vec<BgpTable>)>,
     /// The NAT64 translation plane, when the scenario places gateways.
     pub xlat: Option<XlatWorld>,
 }
@@ -346,23 +346,17 @@ impl World {
         };
         let tables: Vec<(BgpTable, BgpTable)> = t4.into_iter().zip(v6.into_tables()).collect();
 
-        // The scenario's epoch fills `v6_epoch` and `topo_late`. Under fault
-        // injection every epoch, the scenario's included, also joins
-        // `fault_epochs`, the chain probes walk; without faults the
-        // scenario's is the only epoch, so its tables move uncopied.
-        let mut v6_epoch = None;
+        // Every epoch joins the one chain; the scenario's also gives
+        // `topo_late`.
+        let mut scenario_epoch = None;
         let mut topo_late = None;
-        let mut fault_epochs = Vec::new();
-        for ((week, is_scenario), (late, tables)) in keys.into_iter().zip(epochs) {
+        let mut v6_epochs = Vec::with_capacity(epochs.len());
+        for (i, ((week, is_scenario), (late, tables))) in keys.into_iter().zip(epochs).enumerate() {
             if is_scenario {
+                scenario_epoch = Some(i);
                 topo_late = Some(late);
-                if injector.is_none() {
-                    v6_epoch = Some((week, tables));
-                    continue;
-                }
-                v6_epoch = Some((week, tables.clone()));
             }
-            fault_epochs.push((week, tables));
+            v6_epochs.push((week, tables));
         }
 
         // The translation plane: per-gateway cost draws, each gateway's
@@ -410,12 +404,21 @@ impl World {
             tail_ids,
             vantages,
             tables,
-            v6_epoch,
+            v6_epochs,
+            scenario_epoch,
             topo_late,
             disturbances,
             injector,
-            fault_epochs,
             xlat,
+        })
+    }
+
+    /// The scenario's mid-campaign route change, when it schedules one:
+    /// its week and the post-epoch IPv6 tables in `vantages` order.
+    pub fn scenario_epoch(&self) -> Option<(u32, &[BgpTable])> {
+        self.scenario_epoch.map(|i| {
+            let (week, tables) = &self.v6_epochs[i];
+            (*week, tables.as_slice())
         })
     }
 
@@ -459,7 +462,7 @@ impl World {
             seed: s.seed,
             vantage_name: &self.vantages[vantage_idx].name,
             white_listed: self.vantages[vantage_idx].white_listed,
-            v6_epoch: self.v6_epoch.as_ref().map(|(week, tables)| (*week, &tables[vantage_idx])),
+            v6_epoch: self.scenario_epoch().map(|(week, tables)| (week, &tables[vantage_idx])),
             faults,
             stack: self.vantages[vantage_idx].stack,
             xlat: self.xlat.as_ref().map(|x| ProbeXlat {
@@ -478,7 +481,7 @@ impl World {
             injector,
             retry: self.scenario.faults.retry,
             v6_epochs: self
-                .fault_epochs
+                .v6_epochs
                 .iter()
                 .map(|(week, tables)| (*week, &tables[vantage_idx]))
                 .collect(),

@@ -244,7 +244,10 @@ impl Daemon {
             r.error = None;
         });
         let Some(record) = self.job(id) else { return };
-        let world = self.worlds.get(&record.scenario);
+        let world = match self.worlds.get(&record.scenario) {
+            Ok(world) => world,
+            Err(e) => return self.fail(id, e.to_string()),
+        };
         let ckpt = self.store.checkpoint_dir(id);
 
         // Stream each completed top-level phase into the record. Both the
@@ -279,22 +282,19 @@ impl Daemon {
                             r.phases = phases;
                         });
                     }
-                    Err(e) => {
-                        ipv6web_obs::inc("daemon.jobs.failed");
-                        self.update(id, |r| {
-                            r.state = JobState::Failed;
-                            r.error = Some(format!("write report: {e}"));
-                        });
-                    }
+                    Err(e) => self.fail(id, format!("write report: {e}")),
                 }
             }
-            Err(e) => {
-                ipv6web_obs::inc("daemon.jobs.failed");
-                self.update(id, |r| {
-                    r.state = JobState::Failed;
-                    r.error = Some(e.to_string());
-                });
-            }
+            Err(e) => self.fail(id, e.to_string()),
         }
+    }
+
+    /// Marks a job failed with `error`, counted on `daemon.jobs.failed`.
+    fn fail(&self, id: &str, error: String) {
+        ipv6web_obs::inc("daemon.jobs.failed");
+        self.update(id, |r| {
+            r.state = JobState::Failed;
+            r.error = Some(error);
+        });
     }
 }

@@ -7,7 +7,7 @@
 //! (which strips `checkpoint_dir` — per-job checkpoint placement never
 //! forks a world) and hands out clones of one `Arc<World>`.
 
-use ipv6web_core::{Scenario, World};
+use ipv6web_core::{Scenario, World, WorldError};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
@@ -28,18 +28,20 @@ impl WorldCache {
     /// The build happens under the cache lock: a second same-config job
     /// arriving mid-build blocks and then reuses the finished world
     /// instead of racing a duplicate build. Counters `daemon.world.built`
-    /// and `daemon.world.reused` record which path each request took.
-    pub fn get(&self, scenario: &Scenario) -> Arc<World> {
+    /// and `daemon.world.reused` record which path each request took. A
+    /// scenario that cannot be built returns its [`WorldError`] and caches
+    /// nothing, so one bad job never takes the cache down with it.
+    pub fn get(&self, scenario: &Scenario) -> Result<Arc<World>, WorldError> {
         let key = scenario.config_hash();
         let mut worlds = self.worlds.lock().expect("world cache lock");
         if let Some(world) = worlds.get(&key) {
             ipv6web_obs::inc("daemon.world.reused");
-            return world.clone();
+            return Ok(world.clone());
         }
         ipv6web_obs::inc("daemon.world.built");
-        let world = Arc::new(World::build(&scenario.identity_scenario()));
+        let world = Arc::new(World::try_build(&scenario.identity_scenario())?);
         worlds.insert(key, world.clone());
-        world
+        Ok(world)
     }
 
     /// Number of distinct worlds currently cached.
@@ -64,13 +66,13 @@ mod tests {
         // a different checkpoint_dir must not fork the world
         let mut b = a.clone();
         b.checkpoint_dir = Some("/tmp/elsewhere".into());
-        let wa = cache.get(&a);
-        let wb = cache.get(&b);
+        let wa = cache.get(&a).unwrap();
+        let wb = cache.get(&b).unwrap();
         assert!(Arc::ptr_eq(&wa, &wb));
         assert_eq!(cache.len(), 1);
 
         a.seed += 1;
-        let wc = cache.get(&a);
+        let wc = cache.get(&a).unwrap();
         assert!(!Arc::ptr_eq(&wa, &wc));
         assert_eq!(cache.len(), 2);
     }

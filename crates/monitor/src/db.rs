@@ -5,7 +5,6 @@
 //! repository aggregates them. [`MonitorDb`] is the in-memory equivalent,
 //! serializable with serde for snapshotting.
 
-use crate::round::RoundError;
 use ipv6web_web::SiteId;
 use serde::{DeError, Deserialize, Serialize, Value};
 
@@ -98,9 +97,6 @@ pub struct MonitorDb {
     slots: Vec<u32>,
     /// Arena of records in first-touch order, parallel per slot.
     records: Vec<SiteRecord>,
-    /// Rounds that finished degraded (worker/channel failure lost in-flight
-    /// probes); the round's partial results are still recorded.
-    pub round_errors: Vec<RoundError>,
     /// Weeks this vantage point was down entirely (injected outage); no
     /// round ran, nothing was recorded.
     pub outage_weeks: Vec<u32>,
@@ -116,7 +112,6 @@ impl MonitorDb {
             vantage: vantage.into(),
             slots: Vec::new(),
             records: Vec::new(),
-            round_errors: Vec::new(),
             outage_weeks: Vec::new(),
             completed_weeks: 0,
         }
@@ -244,7 +239,6 @@ impl PartialEq for MonitorDb {
         self.vantage == other.vantage
             && self.len() == other.len()
             && self.iter().eq(other.iter())
-            && self.round_errors == other.round_errors
             && self.outage_weeks == other.outage_weeks
             && self.completed_weeks == other.completed_weeks
     }
@@ -253,6 +247,10 @@ impl PartialEq for MonitorDb {
 /// Snapshots serialize records as `[site_id, record]` pairs in site
 /// order — the arena's slot table is an in-memory acceleration
 /// structure, not part of the archival format.
+///
+/// `"round_errors": []` is archival: earlier builds require the key when
+/// they load a checkpoint, so writing it keeps checkpoints byte-identical
+/// and resumable in both directions. Loading ignores it.
 impl Serialize for MonitorDb {
     fn to_value(&self) -> Value {
         let records: Vec<Value> = self
@@ -262,7 +260,7 @@ impl Serialize for MonitorDb {
         Value::Obj(vec![
             ("vantage".to_string(), self.vantage.to_value()),
             ("records".to_string(), Value::Arr(records)),
-            ("round_errors".to_string(), self.round_errors.to_value()),
+            ("round_errors".to_string(), Value::Arr(Vec::new())),
             ("outage_weeks".to_string(), self.outage_weeks.to_value()),
             ("completed_weeks".to_string(), self.completed_weeks.to_value()),
         ])
@@ -280,7 +278,6 @@ impl Deserialize for MonitorDb {
             let added = rec.added_week;
             *db.record_mut(site, added) = rec;
         }
-        db.round_errors = Deserialize::from_value(field("round_errors")?)?;
         db.outage_weeks = Deserialize::from_value(field("outage_weeks")?)?;
         db.completed_weeks = Deserialize::from_value(field("completed_weeks")?)?;
         Ok(db)
@@ -457,4 +454,82 @@ mod tests {
         let back: MonitorDb = serde_json::from_str(&json).unwrap();
         assert_eq!(db, back);
     }
+
+    /// Checkpoint bytes, recorded from a build that still kept
+    /// `round_errors` as a field. Builds on either side of that change
+    /// resume each other's checkpoints only while these bytes hold.
+    #[test]
+    fn checkpoint_bytes_are_pinned() {
+        let mut db = MonitorDb::new("Penn");
+        let r = db.record_mut(SiteId(7), 2);
+        r.has_a = true;
+        r.has_aaaa = true;
+        r.dual_since = Some(3);
+        r.content_identical = Some(true);
+        r.samples_v4.push(sample(3, 812.5));
+        r.samples_v6.push(PerfSample { week: 3, speed_kbps: 640.25, downloads: 6 });
+        r.unconfident_rounds = 1;
+        let r = db.record_mut(SiteId(2), 4);
+        r.has_a = true;
+        r.faulted_rounds = 2;
+        r.malformed_rounds = 1;
+        db.outage_weeks = vec![5];
+        db.completed_weeks = 6;
+        let json = serde_json::to_string_pretty(&db).unwrap();
+        assert_eq!(json, PINNED_CHECKPOINT);
+        assert_eq!(serde_json::from_str::<MonitorDb>(PINNED_CHECKPOINT).unwrap(), db);
+    }
+
+    const PINNED_CHECKPOINT: &str = r#"{
+  "vantage": "Penn",
+  "records": [
+    [
+      2,
+      {
+        "added_week": 4,
+        "has_a": true,
+        "has_aaaa": false,
+        "dual_since": null,
+        "content_identical": null,
+        "samples_v4": [],
+        "samples_v6": [],
+        "unconfident_rounds": 0,
+        "malformed_rounds": 1,
+        "faulted_rounds": 2
+      }
+    ],
+    [
+      7,
+      {
+        "added_week": 2,
+        "has_a": true,
+        "has_aaaa": true,
+        "dual_since": 3,
+        "content_identical": true,
+        "samples_v4": [
+          {
+            "week": 3,
+            "speed_kbps": 812.5,
+            "downloads": 4
+          }
+        ],
+        "samples_v6": [
+          {
+            "week": 3,
+            "speed_kbps": 640.25,
+            "downloads": 6
+          }
+        ],
+        "unconfident_rounds": 1,
+        "malformed_rounds": 0,
+        "faulted_rounds": 0
+      }
+    ]
+  ],
+  "round_errors": [],
+  "outage_weeks": [
+    5
+  ],
+  "completed_weeks": 6
+}"#;
 }

@@ -15,9 +15,9 @@
 //!    becomes that round's sample.
 //!
 //! Rounds are executed by a pool of up to 25 worker threads (the paper's
-//! concurrency bound) over a crossbeam channel; site order is randomized
-//! per round to avoid time-of-day bias; every stochastic draw derives from
-//! `(seed, vantage, week, site)` so the parallel execution is
+//! concurrency bound) on `ipv6web_par`'s fan-out engine; site order is
+//! randomized per round to avoid time-of-day bias; every stochastic draw
+//! derives from `(seed, vantage, week, site)` so the parallel execution is
 //! deterministic regardless of scheduling.
 //!
 //! [`disturbance`] injects the real-world messiness of Section 5.1:
@@ -43,6 +43,5 @@ pub use probe::{probe_site, ProbeContext, ProbeFaults, ProbeOutcome, ProbeXlat};
 pub use round::{
     check_population_stamp, checkpoint_path, population_hash, run_campaign, run_campaign_resumable,
     run_ipv6_day_rounds, validate_checkpoint_dir, CampaignConfig, CampaignError, ConfigError,
-    RoundError,
 };
 pub use vantage::{VantageCountError, VantageKind, VantagePoint};

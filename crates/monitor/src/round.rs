@@ -2,19 +2,18 @@
 //!
 //! Mirrors the tool's structure from Fig 2: each round refreshes the
 //! ranked list (new sites join the monitored set permanently), randomizes
-//! the site order, and fans the sites out to a pool of worker threads over
-//! a bounded crossbeam channel (capacity = worker count, so a slow round
-//! never buffers the whole site list). The worker count is validated
-//! against [`CampaignConfig::max_workers`] up front — an out-of-range
-//! configuration is a typed [`ConfigError`], not a panic or a silent
-//! clamp. Every probe derives its randomness from `(seed, vantage, week,
-//! site)`, so results are independent of thread scheduling — the parallel
-//! run and a serial run produce the same database.
+//! the site order, and fans the sites out to a pool of worker threads
+//! through [`ipv6web_par::fan_out`], each worker with its own resolver.
+//! The worker count is validated against [`CampaignConfig::max_workers`]
+//! up front — an out-of-range configuration is a typed [`ConfigError`],
+//! not a panic or a silent clamp. Every probe derives its randomness from
+//! `(seed, vantage, week, site)`, so results are independent of thread
+//! scheduling — the parallel run and a serial run produce the same
+//! database.
 //!
-//! The campaign degrades rather than dies: a worker or channel failure
-//! mid-round loses only the in-flight probes (recorded as a
-//! [`RoundError`], the round's partial results kept), an injected vantage
-//! outage skips whole rounds (recorded in
+//! A probe that panics is a bug: the panic reaches the caller and the
+//! round keeps nothing. Injected faults are outcomes, not panics; an
+//! injected vantage outage skips whole rounds (recorded in
 //! [`MonitorDb::outage_weeks`]), and with a checkpoint directory the
 //! database is snapshotted after every round so
 //! [`run_campaign_resumable`] can pick up where a crashed or
@@ -237,16 +236,6 @@ impl From<ConfigError> for CampaignError {
     }
 }
 
-/// A round that finished degraded: some in-flight probes were lost to a
-/// worker or channel failure. The round's surviving results are kept.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct RoundError {
-    /// The campaign week of the degraded round.
-    pub week: u32,
-    /// Probes whose outcome never arrived.
-    pub lost_probes: usize,
-}
-
 /// Applies one probe outcome to the database.
 fn apply_outcome(
     db: &mut MonitorDb,
@@ -341,10 +330,10 @@ const NAME_AHEAD: usize = 1;
 
 /// Probes `sites[order[0]], sites[order[1]], …` over the worker pool and
 /// returns each outcome at its site's position in `sites`, so callers never
-/// observe completion order. A slot stays `None` when its outcome never
-/// arrived (only a worker dying mid-round); the second value counts those
-/// lost probes. `order` is a permutation of `0..sites.len()`, and `workers`
-/// must already be validated ([`CampaignConfig::validate`]).
+/// observe completion order. Every slot is `Some`: `order` is a
+/// permutation of `0..sites.len()`, and a panicking probe panics the
+/// caller. `workers` must already be validated
+/// ([`CampaignConfig::validate`]).
 fn run_pool(
     ctx: &ProbeContext<'_>,
     sites: &[SiteId],
@@ -353,17 +342,17 @@ fn run_pool(
     salt: u32,
     ipv6_day_mode: bool,
     workers: usize,
-) -> (Vec<Option<ProbeOutcome>>, usize) {
+) -> Vec<Option<ProbeOutcome>> {
     // Two-level budget: the configured pool width is additionally clamped
     // to this thread's share of the global IPV6WEB_THREADS budget, so a
     // vantage-parallel study (campaign fan-out × per-round pool) never
     // oversubscribes the machine. On a share of 1 the round runs inline —
-    // no channels, no spawns — which is also the fast path on small hosts.
+    // no spawns — which is also the fast path on small hosts.
     let workers = workers.min(sites.len().max(1)).min(ipv6web_par::allowance());
     ipv6web_obs::inc("monitor.rounds");
     ipv6web_obs::gauge_max("monitor.peak_workers", workers as u64);
-    let mut out: Vec<Option<ProbeOutcome>> = vec![None; sites.len()];
     if workers == 1 {
+        let mut out: Vec<Option<ProbeOutcome>> = vec![None; sites.len()];
         let mut resolver = resolver_for(ctx);
         for (i, &k) in order.iter().enumerate() {
             // The shuffled order reaches each site's lines cold once a
@@ -385,59 +374,19 @@ fn run_pool(
             let k = k as usize;
             out[k] = Some(probe_site(ctx, &mut resolver, sites[k], week, salt, ipv6_day_mode));
         }
-        return (out, 0);
+        return out;
     }
 
-    // Both channels are bounded to the worker count: the feeder blocks once
-    // every worker has a site in flight, and workers block once the drain
-    // thread falls behind — memory stays O(workers), not O(sites).
-    let (work_tx, work_rx) = crossbeam::channel::bounded::<u32>(workers);
-    let (res_tx, res_rx) = crossbeam::channel::bounded::<(u32, ProbeOutcome)>(workers);
-    std::thread::scope(|scope| {
-        scope.spawn(move || {
-            for &k in order {
-                if work_tx.send(k).is_err() {
-                    break; // all workers gone (only possible on panic)
-                }
-            }
-        });
-        for _ in 0..workers {
-            let work_rx = work_rx.clone();
-            let res_tx = res_tx.clone();
-            scope.spawn(move || {
-                // each worker keeps its own caching resolver, like each of
-                // the paper's monitoring threads resolving independently
-                let mut resolver = resolver_for(ctx);
-                while let Ok(k) = work_rx.recv() {
-                    let site = sites[k as usize];
-                    let outcome = probe_site(ctx, &mut resolver, site, week, salt, ipv6_day_mode);
-                    if res_tx.send((k, outcome)).is_err() {
-                        // drain side gone — stop probing, keep what arrived
-                        break;
-                    }
-                }
-                // merge this worker's metric shard at pool join: totals are
-                // then independent of scheduling and worker count
-                ipv6web_obs::flush_thread();
-            });
-        }
-        drop(res_tx);
-        drop(work_rx);
-        for (k, outcome) in res_rx.iter() {
-            out[k as usize] = Some(outcome);
-        }
-    });
-    let lost = out.iter().filter(|o| o.is_none()).count();
-    (out, lost)
-}
-
-/// Appends a degraded round to the database and the metrics stream.
-fn note_lost(db: &mut MonitorDb, week: u32, lost: usize) {
-    if lost > 0 {
-        ipv6web_obs::inc("monitor.degraded_rounds");
-        ipv6web_obs::add("monitor.lost_probes", lost as u64);
-        db.round_errors.push(RoundError { week, lost_probes: lost });
-    }
+    // Each worker keeps its own caching resolver, like each of the paper's
+    // monitoring threads resolving independently, and takes the next site
+    // in the round's order; each outcome lands in its site's slot.
+    ipv6web_par::fan_out(
+        workers,
+        sites.len(),
+        |p| order[p] as usize,
+        || resolver_for(ctx),
+        |resolver, k| Some(probe_site(ctx, resolver, sites[k], week, salt, ipv6_day_mode)),
+    )
 }
 
 /// The checkpoint file a vantage point's campaign writes under `dir`:
@@ -588,14 +537,12 @@ pub fn run_campaign_resumable(
         // probed in a fresh random order, applied in ascending site order
         let members: Vec<SiteId> = monitored.members().map(SiteId).collect();
         let order = round_order(ctx.seed, &vantage.name, week, members.len());
-        let (results, lost) = run_pool(ctx, &members, &order, week, 0, false, workers);
+        let results = run_pool(ctx, &members, &order, week, 0, false, workers);
         for (&site, outcome) in members.iter().zip(results) {
-            if let Some(outcome) = outcome {
-                let added = monitored.added_week(site.0).unwrap_or(week);
-                apply_outcome(&mut db, site, added, week, outcome);
-            }
+            let outcome = outcome.expect("run_pool probes every site");
+            let added = monitored.added_week(site.0).unwrap_or(week);
+            apply_outcome(&mut db, site, added, week, outcome);
         }
-        note_lost(&mut db, week, lost);
         db.completed_weeks = week + 1;
         checkpoint(&db, checkpoint_dir)?;
     }
@@ -618,14 +565,11 @@ pub fn run_ipv6_day_rounds(
     let n = u32::try_from(participants.len()).expect("u32 site ids bound the participants");
     let order: Vec<u32> = (0..n).collect();
     for round in 0..cfg.ipv6_day_rounds {
-        let (results, lost) =
-            run_pool(ctx, participants, &order, event_week, round + 1, true, cfg.workers);
+        let results = run_pool(ctx, participants, &order, event_week, round + 1, true, cfg.workers);
         for (&site, outcome) in participants.iter().zip(results) {
-            if let Some(outcome) = outcome {
-                apply_outcome(&mut db, site, event_week, event_week, outcome);
-            }
+            let outcome = outcome.expect("run_pool probes every site");
+            apply_outcome(&mut db, site, event_week, event_week, outcome);
         }
-        note_lost(&mut db, event_week, lost);
     }
     Ok(db)
 }
@@ -763,7 +707,6 @@ mod tests {
                 assert!(rec.samples_v4.is_empty(), "{site}: v4-only site sampled");
             }
         }
-        assert!(db.round_errors.is_empty(), "healthy run loses nothing");
         assert_eq!(db.completed_weeks, cfg.total_weeks);
     }
 
@@ -788,12 +731,12 @@ mod tests {
         }
     }
 
-    /// The single-worker round loads lines ahead of its probes; it must
-    /// return what probing `sites[order[k]]` in turn with one resolver
-    /// returns, rounds too short to look ahead in included. `workers` is
-    /// passed as 1: a wider pool does not prefetch.
+    /// Every pool width must return what probing `sites[order[k]]` in turn
+    /// with one resolver returns, rounds too short to look ahead in or to
+    /// share out included: width 1 is the inline loop that loads lines
+    /// ahead of its probes, wider pools run on `ipv6web_par::fan_out`.
     #[test]
-    fn prefetching_round_matches_plain_probe_loop() {
+    fn round_matches_plain_probe_loop_at_every_width() {
         let w = world(600);
         let base = ctx(&w);
         let plan = FaultPlan::demo(20);
@@ -808,16 +751,24 @@ mod tests {
                 if n > 3 {
                     assert!(order.windows(2).any(|p| p[0] > p[1]), "order is shuffled");
                 }
-                let (got, lost) = run_pool(&c, &sites, &order, week, 0, false, 1);
-                assert_eq!((got.len(), lost), (n, 0));
                 let mut resolver = resolver_for(&c);
                 let mut want = vec![None; n];
                 for &k in &order {
                     let k = k as usize;
                     want[k] = Some(probe_site(&c, &mut resolver, sites[k], week, 0, false));
                 }
-                for (pos, (g, w)) in got.iter().zip(&want).enumerate() {
-                    assert_eq!(g, w, "n = {n}, position {pos}, faults {}", c.faults.is_some());
+                for workers in [1, 2, 4] {
+                    let got = ipv6web_par::with_allowance(4, || {
+                        run_pool(&c, &sites, &order, week, 0, false, workers)
+                    });
+                    assert_eq!(got.len(), n);
+                    for (pos, (g, w)) in got.iter().zip(&want).enumerate() {
+                        let faults = c.faults.is_some();
+                        assert_eq!(
+                            g, w,
+                            "n = {n}, workers = {workers}, position {pos}, faults {faults}"
+                        );
+                    }
                 }
             }
         }

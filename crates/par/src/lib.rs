@@ -6,6 +6,11 @@
 //! input position, so `par_map(xs, f)` is bit-identical to
 //! `xs.iter().map(f).collect()` whenever `f` itself is deterministic.
 //!
+//! Every in-process fan-out runs on one engine, [`fan_out`]: `par_map`,
+//! and the monitor's probe pool, which keeps one resolver per worker. It
+//! spawns the workers, hands out work, splits the thread budget and merges
+//! obs shards in one place.
+//!
 //! Thread count comes from the `IPV6WEB_THREADS` environment variable when
 //! set (a value of `1` forces the sequential path, used by the determinism
 //! tests), else from `std::thread::available_parallelism`.
@@ -20,11 +25,10 @@
 //! points while each campaign runs its own probe pool — must not multiply
 //! into `vantages × workers` threads. Every thread therefore carries an
 //! [`allowance`]: its share of the global budget. A fresh thread's
-//! allowance is the full budget ([`thread_count`]); [`par_map`] spends the
-//! caller's allowance on its workers and splits it among them (worker `w`
-//! of `W` gets `⌊B/W⌋` plus one of the `B mod W` remainders), so any
-//! nested fan-out — another `par_map`, or a worker pool that clamps to
-//! [`allowance`] — borrows from the same global budget instead of
+//! allowance is the full budget ([`thread_count`]); a fan-out clamps its
+//! width to the caller's allowance and splits it among its workers (worker
+//! `w` of `W` gets `⌊B/W⌋` plus one of the `B mod W` remainders), so any
+//! nested fan-out borrows from the same global budget instead of
 //! oversubscribing. The sum of live leaf workers never exceeds the budget.
 
 use std::cell::Cell;
@@ -90,9 +94,9 @@ thread_local! {
 
 /// This thread's share of the global worker budget: the worker count any
 /// fan-out started here may use. [`thread_count`] for a thread that was
-/// not spawned by [`par_map`]; the assigned share inside a `par_map`
-/// worker. Worker pools outside this crate clamp their width to it so
-/// nested parallelism stays within `IPV6WEB_THREADS` in total.
+/// not spawned by [`fan_out`]; the assigned share inside a `fan_out`
+/// worker. Fan-outs clamp their width to it so nested parallelism stays
+/// within `IPV6WEB_THREADS` in total.
 pub fn allowance() -> usize {
     let a = ALLOWANCE.with(|c| c.get());
     if a == 0 {
@@ -107,7 +111,7 @@ pub fn allowance() -> usize {
 /// workers taking one extra. Shares sum exactly to `budget` and every
 /// share is ≥ 1 whenever `workers ≤ budget`. Public so long-lived worker
 /// pools outside this crate (the daemon's job executor) can split the
-/// global budget with the same arithmetic `par_map` uses.
+/// global budget with the same arithmetic [`fan_out`] uses.
 pub fn worker_share(budget: usize, workers: usize, w: usize) -> usize {
     budget / workers + usize::from(w < budget % workers)
 }
@@ -115,7 +119,7 @@ pub fn worker_share(budget: usize, workers: usize, w: usize) -> usize {
 /// Runs `f` with this thread's allowance pinned to `allowance` (clamped to
 /// ≥ 1), restoring the previous allowance afterwards — even on panic.
 ///
-/// This is how a worker pool that was *not* spawned by [`par_map`] (e.g. a
+/// This is how a worker pool that was *not* spawned by [`fan_out`] (e.g. a
 /// daemon executor running several studies concurrently) hands each worker
 /// its share of the global budget: every fan-out `f` performs then borrows
 /// from that share instead of the full `IPV6WEB_THREADS` budget, so
@@ -139,82 +143,103 @@ pub fn with_allowance<R>(allowance: usize, f: impl FnOnce() -> R) -> R {
 ///
 /// The fan-out width is this thread's [`allowance`], which the spawned
 /// workers inherit in shares — see the module docs on the two-level
-/// budget.
+/// budget. A panic in `f` reaches the caller, as [`fan_out`] describes.
 pub fn par_map<T, U, F>(items: &[T], f: F) -> Vec<U>
 where
     T: Sync,
     U: Send,
     F: Fn(usize, &T) -> U + Sync,
 {
-    par_map_budget(allowance(), items, f)
-}
-
-/// [`par_map`] with an explicit worker budget (mainly for tests). The
-/// explicit count plays the role of the caller's allowance: it is split
-/// among the spawned workers exactly like `par_map` splits the global
-/// budget.
-pub fn par_map_with<T, U, F>(workers: usize, items: &[T], f: F) -> Vec<U>
-where
-    T: Sync,
-    U: Send,
-    F: Fn(usize, &T) -> U + Sync,
-{
-    par_map_budget(workers, items, f)
-}
-
-fn par_map_budget<T, U, F>(budget: usize, items: &[T], f: F) -> Vec<U>
-where
-    T: Sync,
-    U: Send,
-    F: Fn(usize, &T) -> U + Sync,
-{
-    let budget = budget.max(1);
-    let workers = budget.min(items.len().max(1));
+    let workers = allowance().min(items.len().max(1));
     // Counters fire on both the serial and parallel paths so totals do not
     // depend on IPV6WEB_THREADS; only the gauge reflects the configuration.
     ipv6web_obs::gauge_max("par.peak_threads", workers as u64);
     ipv6web_obs::add("par.fanouts", 1);
     ipv6web_obs::add("par.items", items.len() as u64);
-    if workers == 1 || items.len() <= 1 {
+    if workers == 1 {
         // Inline on the calling thread, which keeps its full allowance:
         // a lone item's nested fan-outs may still use the whole budget.
         return items.iter().enumerate().map(|(i, x)| f(i, x)).collect();
     }
+    fan_out(workers, items.len(), |i| i, || (), |_, i| f(i, &items[i]))
+}
 
-    // Work-stealing over an atomic index; each worker keeps (index, result)
-    // pairs locally and the results are scattered back by index afterwards,
-    // so scheduling order never leaks into the output.
+/// The fan-out engine behind [`par_map`] and the monitor's probe pool.
+///
+/// Spawns `width` scoped workers; worker `w` runs with
+/// [`worker_share`]`(allowance(), width, w)` as its own allowance and
+/// builds its per-worker state with `init()` once. Workers take positions
+/// `0..n` from a shared counter in ascending order; position `p` fills
+/// slot `k = order(p)` of the returned vector with `f(&mut state, k)`.
+/// `order` must be a permutation of `0..n`, so the output never depends
+/// on scheduling when `f` is deterministic. Every worker merges its obs
+/// shard before it exits, so counter totals do not depend on the width
+/// either.
+///
+/// # Panics
+/// A panic in `init` or `f` is a bug, not a partial result: once every
+/// worker has stopped, the first worker's panic resumes in the caller
+/// with its original payload.
+pub fn fan_out<S, U>(
+    width: usize,
+    n: usize,
+    order: impl Fn(usize) -> usize + Sync,
+    init: impl Fn() -> S + Sync,
+    f: impl Fn(&mut S, usize) -> U + Sync,
+) -> Vec<U>
+where
+    U: Send,
+{
+    let budget = allowance();
     let next = AtomicUsize::new(0);
-    let buckets: Mutex<Vec<Vec<(usize, U)>>> = Mutex::new(Vec::with_capacity(workers));
-    std::thread::scope(|scope| {
-        let (next, buckets, f) = (&next, &buckets, &f);
-        for w in 0..workers {
-            let share = worker_share(budget, workers, w);
-            scope.spawn(move || {
-                ALLOWANCE.with(|c| c.set(share));
-                let mut local = Vec::new();
-                loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= items.len() {
-                        break;
+    let slots: Vec<Mutex<Option<U>>> = (0..n).map(|_| Mutex::new(None)).collect();
+    let panic = std::thread::scope(|scope| {
+        let (next, slots, order, init, f) = (&next, &slots, &order, &init, &f);
+        let workers: Vec<_> = (0..width)
+            .map(|w| {
+                let share = worker_share(budget, width, w).max(1);
+                scope.spawn(move || {
+                    ALLOWANCE.with(|c| c.set(share));
+                    let mut state = init();
+                    loop {
+                        // the counter publishes nothing: results travel
+                        // through the slot locks and the join
+                        let p = next.fetch_add(1, Ordering::Relaxed);
+                        if p >= n {
+                            break;
+                        }
+                        let k = order(p);
+                        let value = f(&mut state, k);
+                        let previous = slots[k]
+                            .lock()
+                            .expect("no slot lock is held across a panic")
+                            .replace(value);
+                        assert!(previous.is_none(), "slot {k} filled twice");
                     }
-                    local.push((i, f(i, &items[i])));
-                }
-                // per-worker metric shards merge at the join, so counter
-                // totals are identical for any IPV6WEB_THREADS value
-                ipv6web_obs::flush_thread();
-                buckets.lock().unwrap().push(local);
-            });
+                    ipv6web_obs::flush_thread();
+                })
+            })
+            .collect();
+        // joining by hand keeps a panic's payload, which the scope's own
+        // join would replace with a generic message
+        let mut first = None;
+        for w in workers {
+            if let Err(payload) = w.join() {
+                first.get_or_insert(payload);
+            }
         }
+        first
     });
-
-    let buckets = buckets.into_inner().unwrap();
-    let mut out: Vec<Option<U>> = (0..items.len()).map(|_| None).collect();
-    for (i, v) in buckets.into_iter().flatten() {
-        debug_assert!(out[i].is_none(), "index {i} produced twice");
-        out[i] = Some(v);
+    if let Some(payload) = panic {
+        std::panic::resume_unwind(payload);
     }
-    out.into_iter().map(|slot| slot.expect("every index produced exactly once")).collect()
+    slots
+        .into_iter()
+        .map(|s| {
+            let value = s.into_inner().expect("no slot lock is held across a panic");
+            value.expect("every slot filled exactly once")
+        })
+        .collect()
 }
 
 /// Starts loading every cache line `value` occupies into the L1 cache and
@@ -249,7 +274,7 @@ mod tests {
         let items: Vec<u64> = (0..1000).collect();
         let seq: Vec<u64> = items.iter().map(|x| x * x).collect();
         for workers in [1, 2, 3, 8, 64] {
-            let par = par_map_with(workers, &items, |_, x| x * x);
+            let par = with_allowance(workers, || par_map(&items, |_, x| x * x));
             assert_eq!(par, seq, "workers = {workers}");
         }
     }
@@ -257,15 +282,74 @@ mod tests {
     #[test]
     fn passes_stable_indices() {
         let items = vec!["a", "b", "c", "d"];
-        let idx = par_map_with(4, &items, |i, _| i);
+        let idx = with_allowance(4, || par_map(&items, |i, _| i));
         assert_eq!(idx, vec![0, 1, 2, 3]);
     }
 
     #[test]
     fn empty_and_singleton() {
         let none: Vec<u8> = vec![];
-        assert_eq!(par_map_with(8, &none, |_, x| *x), Vec::<u8>::new());
-        assert_eq!(par_map_with(8, &[41], |_, x| x + 1), vec![42]);
+        with_allowance(8, || {
+            assert_eq!(par_map(&none, |_, x| *x), Vec::<u8>::new());
+            assert_eq!(par_map(&[41], |_, x| x + 1), vec![42]);
+        });
+    }
+
+    #[test]
+    fn fan_out_fills_each_slot_once_with_one_state_per_worker() {
+        // positions are handed out in a scrambled slot order, as the probe
+        // pool hands out a round's shuffled sites
+        let order: Vec<usize> = (0..500).map(|p| p * 7 % 500).collect();
+        let states = AtomicUsize::new(0);
+        let init = || {
+            states.fetch_add(1, Ordering::SeqCst);
+            0usize
+        };
+        let out = fan_out(
+            4,
+            order.len(),
+            |p| order[p],
+            init,
+            |done, k| {
+                *done += 1;
+                k * 3
+            },
+        );
+        assert_eq!(out, (0..500).map(|k| k * 3).collect::<Vec<_>>());
+        assert_eq!(states.load(Ordering::SeqCst), 4, "one state per worker");
+    }
+
+    #[test]
+    fn a_panicking_item_reaches_the_caller() {
+        let items: Vec<u32> = (0..64).collect();
+        let payload = |r: std::thread::Result<Vec<u32>>| {
+            *r.expect_err("the fan-out must panic").downcast::<&str>().expect("original payload")
+        };
+        for width in [1, 4] {
+            let r = std::panic::catch_unwind(|| {
+                with_allowance(width, || {
+                    par_map(&items, |_, &x| if x == 37 { panic!("item 37") } else { x })
+                })
+            });
+            assert_eq!(payload(r), "item 37", "width {width}");
+        }
+        // the same with per-worker state
+        let r = std::panic::catch_unwind(|| {
+            fan_out(
+                4,
+                items.len(),
+                |p| p,
+                Vec::new,
+                |seen: &mut Vec<usize>, k| {
+                    seen.push(k);
+                    if k == 37 {
+                        panic!("item 37");
+                    }
+                    seen.len() as u32
+                },
+            )
+        });
+        assert_eq!(payload(r), "item 37");
     }
 
     #[test]
@@ -395,7 +479,7 @@ mod tests {
         // Budget 5 over 2 workers: shares are {3, 2}. Whatever item lands
         // on whatever worker, the observed allowance is one of the shares.
         let items = [(); 2];
-        let seen = par_map_with(5, &items, |_, _| allowance());
+        let seen = with_allowance(5, || par_map(&items, |_, _| allowance()));
         for a in &seen {
             assert!(*a == 2 || *a == 3, "allowance {a} is not a share of 5/2");
         }
@@ -409,14 +493,16 @@ mod tests {
         let live = AtomicUsize::new(0);
         let peak = AtomicUsize::new(0);
         let items: Vec<u32> = (0..6).collect();
-        let _ = par_map_with(3, &items, |_, _| {
-            let inner: Vec<u32> = (0..4).collect();
-            par_map(&inner, |_, x| {
-                let now = live.fetch_add(1, Ordering::SeqCst) + 1;
-                peak.fetch_max(now, Ordering::SeqCst);
-                std::thread::sleep(std::time::Duration::from_millis(2));
-                live.fetch_sub(1, Ordering::SeqCst);
-                *x
+        with_allowance(3, || {
+            par_map(&items, |_, _| {
+                let inner: Vec<u32> = (0..4).collect();
+                par_map(&inner, |_, x| {
+                    let now = live.fetch_add(1, Ordering::SeqCst) + 1;
+                    peak.fetch_max(now, Ordering::SeqCst);
+                    std::thread::sleep(std::time::Duration::from_millis(2));
+                    live.fetch_sub(1, Ordering::SeqCst);
+                    *x
+                })
             })
         });
         assert!(

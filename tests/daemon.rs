@@ -41,18 +41,24 @@ fn reference_report_bytes(scenario: &Scenario) -> Vec<u8> {
     serde_json::to_string_pretty(&study.report).expect("report serializes").into_bytes()
 }
 
-/// Waits (with a deadline) until the job reaches a terminal state.
-fn wait_done(daemon: &Arc<Daemon>, id: &str) -> JobRecord {
-    let deadline = Instant::now() + Duration::from_secs(300);
+/// Waits up to `timeout` until the job reaches a terminal state.
+fn wait_terminal(daemon: &Arc<Daemon>, id: &str, timeout: Duration) -> JobRecord {
+    let deadline = Instant::now() + timeout;
     loop {
         let rec = daemon.job(id).expect("job exists");
         match rec.state {
-            JobState::Done => return rec,
-            JobState::Failed => panic!("job {id} failed: {:?}", rec.error),
+            JobState::Done | JobState::Failed => return rec,
             _ if Instant::now() > deadline => panic!("job {id} stuck in {:?}", rec.state),
             _ => std::thread::sleep(Duration::from_millis(50)),
         }
     }
+}
+
+/// Waits (with a deadline) until the job is done.
+fn wait_done(daemon: &Arc<Daemon>, id: &str) -> JobRecord {
+    let rec = wait_terminal(daemon, id, Duration::from_secs(300));
+    assert_eq!(rec.state, JobState::Done, "job {id} failed: {:?}", rec.error);
+    rec
 }
 
 /// Minimal HTTP/1.1 client for the daemon API: one request, one
@@ -426,5 +432,35 @@ fn concurrent_same_seed_jobs_share_one_world() {
     let rb = daemon.report_bytes(&b.id).unwrap().unwrap();
     assert_eq!(ra, reference);
     assert_eq!(rb, reference);
+    std::fs::remove_dir_all(&store_dir).ok();
+}
+
+#[test]
+fn unbuildable_world_fails_its_job_and_spares_the_next() {
+    let _g = LOCK.lock().unwrap();
+    // no dual-stack access AS at all: nowhere to place the six vantages
+    let mut unbuildable = Scenario::quick(3);
+    unbuildable.topology.dual.access_adoption = 0.0;
+    let scenario = tiny(59);
+    let reference = reference_report_bytes(&scenario);
+
+    let store_dir = fresh_dir("unbuildable");
+    let (daemon, _) = Daemon::open(&store_dir, 1).unwrap();
+    let workers = daemon.start();
+    let bad =
+        daemon.submit(&JobSpec { scenario: Some(unbuildable), ..JobSpec::default() }).unwrap();
+    let failed = wait_terminal(&daemon, &bad.id, Duration::from_secs(60));
+    assert_eq!(failed.state, JobState::Failed, "an unbuildable world produced a report");
+    let error = failed.error.unwrap_or_default();
+    assert!(error.contains("dual-stack access ASes"), "{error}");
+
+    // the same worker and world cache still serve the next job
+    let good = daemon.submit(&JobSpec { scenario: Some(scenario), ..JobSpec::default() }).unwrap();
+    wait_done(&daemon, &good.id);
+    assert_eq!(daemon.report_bytes(&good.id).unwrap().unwrap(), reference);
+    daemon.shutdown();
+    for h in workers {
+        h.join().unwrap();
+    }
     std::fs::remove_dir_all(&store_dir).ok();
 }

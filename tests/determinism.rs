@@ -92,7 +92,7 @@ fn memoized_epoch_rebuild_matches_from_scratch() {
     assert!(s.route_change.is_some(), "scenario must schedule a route change");
     let w = World::build(&s);
     let late = w.topo_late.as_ref().expect("route change produces a late topology");
-    let (_, epoch_tables) = w.v6_epoch.as_ref().expect("route change produces epoch tables");
+    let (_, epoch_tables) = w.scenario_epoch().expect("route change produces epoch tables");
 
     // The world's epoch tables reuse every destination the route change
     // cannot affect; a from-scratch build over the late topology must agree
