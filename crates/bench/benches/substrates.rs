@@ -5,7 +5,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use ipv6web_bgp::{routes_to_dest, BgpTable};
 use ipv6web_core::{Scenario, World};
-use ipv6web_dns::{Resolver, ZoneDb, ZoneEntry};
+use ipv6web_dns::{NameId, RecordType, Resolver, ZoneDb, ZoneEntry};
 use ipv6web_monitor::{run_campaign, CampaignConfig};
 use ipv6web_netsim::{download_time, DataPlane, TcpConfig};
 use ipv6web_packet::{Icmpv6Message, Ipv4Header, Ipv6Header, TcpHeader, UdpHeader};
@@ -105,26 +105,34 @@ fn bench_dataplane(c: &mut Criterion) {
 
 fn bench_dns(c: &mut Criterion) {
     let mut zone = ZoneDb::new();
-    for i in 0..1000 {
-        zone.insert(
-            format!("site{i}.web.example"),
-            ZoneEntry {
-                v4: Ipv4Addr::new(16, (i / 256) as u8, (i % 256) as u8, 1),
-                v6: Some("2400:1::1".parse().unwrap()),
-                v6_from_week: 0,
-                ttl: 300,
-            },
-        );
-    }
-    let mut resolver = Resolver::new();
+    let mut insert = |name: String, i: u32, v6: Option<Ipv6Addr>| {
+        let v4 = Ipv4Addr::new(16, (i / 256) as u8, (i % 256) as u8, 1);
+        zone.insert(name, ZoneEntry { v4, v6, v6_from_week: 0, ttl: 300 })
+    };
+    let v6 = Some("2400:1::1".parse().unwrap());
+    let dual: Vec<NameId> =
+        (0..1000).map(|i| insert(format!("site{i}.web.example"), i, v6)).collect();
+    let v4_only: Vec<NameId> =
+        (0..1000).map(|i| insert(format!("v4only{i}.web.example"), i, None)).collect();
     let mut i = 0u64;
-    c.bench_function("dns_resolve_wire_roundtrip", |b| {
+    // The probe's path: a miss by interned id over rotating names (the
+    // flush keeps the cache from absorbing them).
+    let mut resolver = Resolver::new();
+    c.bench_function("dns_resolve_miss", |b| {
         b.iter(|| {
-            // rotate names so the cache doesn't absorb everything
-            let name = format!("site{}.web.example", i % 1000);
             i += 1;
             resolver.flush();
-            black_box(resolver.resolve(&zone, &name, ipv6web_dns::RecordType::Aaaa, 10, i))
+            black_box(resolver.resolve_id(&zone, dual[i as usize % 1000], RecordType::Aaaa, 10, i))
+        })
+    });
+    // The path that keeps the wire codec: a DNS64 resolver's AAAA miss on a
+    // v4-only name, answered by synthesis.
+    let mut dns64 = Resolver::dns64();
+    c.bench_function("dns_resolve_dns64_aaaa", |b| {
+        b.iter(|| {
+            i += 1;
+            dns64.flush();
+            black_box(dns64.resolve_id(&zone, v4_only[i as usize % 1000], RecordType::Aaaa, 10, i))
         })
     });
 }

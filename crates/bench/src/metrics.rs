@@ -5,10 +5,12 @@
 //! so they must stay out of anything CI byte-compares. The committed
 //! `BENCH_baseline.json` plus [`check_regression`] turn the file into a
 //! smoke gate: a quick-scale run that gets more than 50% slower than the
-//! baseline fails the build.
+//! baseline, or whose counters or histograms differ from it at all, fails
+//! the build.
 
 use ipv6web_obs::{Snapshot, SpanRecord, Timings};
 use serde::{Deserialize, Serialize};
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Schema tag written into every report, bumped on breaking changes.
 pub const BENCH_SCHEMA: &str = "ipv6web-bench/v1";
@@ -51,13 +53,13 @@ pub struct BenchReport {
     /// Phase breakdown (obs spans, completion order).
     pub phases: Vec<SpanRecord>,
     /// Counters from the obs snapshot.
-    pub counters: std::collections::BTreeMap<String, u64>,
+    pub counters: BTreeMap<String, u64>,
     /// Gauges (high-water marks) from the obs snapshot.
-    pub gauges: std::collections::BTreeMap<String, u64>,
+    pub gauges: BTreeMap<String, u64>,
     /// Derived ratios.
     pub derived: DerivedMetrics,
     /// Histograms from the obs snapshot (sparse buckets).
-    pub histograms: std::collections::BTreeMap<String, ipv6web_obs::HistogramSnapshot>,
+    pub histograms: BTreeMap<String, ipv6web_obs::HistogramSnapshot>,
 }
 
 impl BenchReport {
@@ -111,10 +113,17 @@ impl BenchReport {
 /// The gauge both reports must carry for the memory gate to engage.
 pub const PEAK_RSS_GAUGE: &str = "process.peak_rss_kb";
 
-/// The CI gate: fails when `current` is more than `tolerance` slower than
-/// `baseline` (wall clock), or — when both reports carry the
+/// How many differing counts a failed gate names.
+const COUNT_DIFFS_SHOWN: usize = 5;
+
+/// The CI gate: fails when the runs are not comparable (another scale or
+/// seed), when any counter or histogram differs from `baseline` or is
+/// carried by one side only, when `current` is more than `tolerance`
+/// slower (wall clock), or — when both reports carry the
 /// [`PEAK_RSS_GAUGE`] gauge — more than `tolerance` hungrier in peak
-/// resident memory. Returns a human-readable verdict either way.
+/// resident memory. Counters and histograms do not depend on the thread
+/// count, so a changed count is a behaviour change, not noise. Returns a
+/// human-readable verdict either way.
 pub fn check_regression(
     current: &BenchReport,
     baseline: &BenchReport,
@@ -125,6 +134,22 @@ pub fn check_regression(
             "scale mismatch: run is {:?}, baseline is {:?} — not comparable",
             current.scale, baseline.scale
         ));
+    }
+    if current.seed != baseline.seed {
+        return Err(format!(
+            "seed mismatch: run is {}, baseline is {} — not comparable",
+            current.seed, baseline.seed
+        ));
+    }
+    let mut diffs = differences("counter", &current.counters, &baseline.counters, u64::to_string);
+    diffs.extend(differences("histogram", &current.histograms, &baseline.histograms, |h| {
+        format!("count {} sum {}", h.count, h.sum)
+    }));
+    if !diffs.is_empty() {
+        let more = diffs.len().saturating_sub(COUNT_DIFFS_SHOWN);
+        diffs.truncate(COUNT_DIFFS_SHOWN);
+        let more = if more > 0 { format!("; {more} more") } else { String::new() };
+        return Err(format!("count mismatch: {}{more}", diffs.join("; ")));
     }
     let limit = baseline.wall_s * (1.0 + tolerance);
     let pct = if baseline.wall_s > 0.0 {
@@ -141,7 +166,10 @@ pub fn check_regression(
         ));
     }
     let wall_verdict = format!(
-        "wall time OK: {:.3}s vs baseline {:.3}s ({pct:+.1}%, limit +{:.0}%)",
+        "{} counters and {} histograms match; \
+         wall time OK: {:.3}s vs baseline {:.3}s ({pct:+.1}%, limit +{:.0}%)",
+        current.counters.len(),
+        current.histograms.len(),
         current.wall_s,
         baseline.wall_s,
         tolerance * 100.0
@@ -166,6 +194,26 @@ pub fn check_regression(
         }
     }
     Ok(wall_verdict)
+}
+
+/// One line per `kind` entry whose value differs between the two maps,
+/// an entry only one side carries included, in name order.
+fn differences<V: PartialEq>(
+    kind: &str,
+    current: &BTreeMap<String, V>,
+    baseline: &BTreeMap<String, V>,
+    show: impl Fn(&V) -> String,
+) -> Vec<String> {
+    let side = |v: Option<&V>| v.map_or_else(|| "absent".to_string(), &show);
+    let names: BTreeSet<&String> = current.keys().chain(baseline.keys()).collect();
+    names
+        .into_iter()
+        .filter_map(|name| {
+            let (cur, base) = (current.get(name), baseline.get(name));
+            (cur != base)
+                .then(|| format!("{kind} {name}: {} vs baseline {}", side(cur), side(base)))
+        })
+        .collect()
 }
 
 /// Renders a side-by-side wall-clock and top-level phase comparison of two
@@ -286,6 +334,59 @@ mod tests {
         let mut cur = report(10.0);
         cur.scale = "paper".into();
         assert!(check_regression(&cur, &base, DEFAULT_TOLERANCE).is_err());
+    }
+
+    #[test]
+    fn gate_rejects_seed_mismatch() {
+        let base = report(10.0);
+        let mut cur = report(10.0);
+        cur.seed = 7;
+        let err = check_regression(&cur, &base, DEFAULT_TOLERANCE).unwrap_err();
+        assert!(err.contains("seed mismatch"), "{err}");
+    }
+
+    #[test]
+    fn gate_fails_on_any_changed_count_and_names_it() {
+        let base = report(10.0);
+        let mut cur = report(10.0);
+        *cur.counters.get_mut("dns.cache_misses").unwrap() += 1;
+        let err = check_regression(&cur, &base, DEFAULT_TOLERANCE).unwrap_err();
+        assert!(err.contains("counter dns.cache_misses: 26 vs baseline 25"), "{err}");
+        // a counter on one side only is a difference too, either way round
+        let mut cur = report(10.0);
+        cur.counters.remove("dns.cache_hits");
+        cur.counters.insert("dns.queries".into(), 3);
+        let err = check_regression(&cur, &base, DEFAULT_TOLERANCE).unwrap_err();
+        assert!(err.contains("counter dns.cache_hits: absent vs baseline 75"), "{err}");
+        assert!(err.contains("counter dns.queries: 3 vs baseline absent"), "{err}");
+        // and so is a histogram, even when the run is otherwise faster
+        let mut cur = report(5.0);
+        let mut hist = ipv6web_obs::Histogram::default();
+        hist.observe(40);
+        cur.histograms.insert("dns.wire_bytes".into(), hist.snapshot());
+        let err = check_regression(&cur, &base, DEFAULT_TOLERANCE).unwrap_err();
+        assert!(
+            err.contains("histogram dns.wire_bytes: count 1 sum 40 vs baseline absent"),
+            "{err}"
+        );
+        // gauges and timings are not counts
+        let mut cur = report(12.0);
+        cur.gauges.insert("par.peak_threads".into(), 1);
+        cur.phases.clear();
+        assert!(check_regression(&cur, &base, DEFAULT_TOLERANCE).is_ok());
+    }
+
+    #[test]
+    fn count_mismatch_names_the_first_few() {
+        let base = report(10.0);
+        let mut cur = report(10.0);
+        for i in 0..8 {
+            cur.counters.insert(format!("extra.{i}"), i);
+        }
+        let err = check_regression(&cur, &base, DEFAULT_TOLERANCE).unwrap_err();
+        assert!(err.contains("extra.0") && err.contains("extra.4"), "{err}");
+        assert!(!err.contains("extra.5"), "{err}");
+        assert!(err.ends_with("; 3 more"), "{err}");
     }
 
     #[test]

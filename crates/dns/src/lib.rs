@@ -11,8 +11,11 @@
 //!   resolver each vantage point used. It is keyed by interned [`NameId`]s
 //!   and allocates nothing once warm.
 //! * [`wire`] — an RFC 1035 message codec (header, question, answer with
-//!   A/AAAA RDATA) so queries and responses exist as real bytes; every
-//!   resolver cache miss goes through it.
+//!   A/AAAA RDATA) so queries and responses exist as real bytes. A resolver
+//!   cache miss goes through it wherever it can change the answer: a name
+//!   the zone never interned or that does not decode back to its own
+//!   spelling, and every DNS64 AAAA query. An interned name in wire form
+//!   answers straight from its zone entry.
 
 pub mod names;
 pub mod records;

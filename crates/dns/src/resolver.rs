@@ -2,11 +2,18 @@
 //!
 //! Each vantage point resolves names through a local caching resolver; the
 //! monitor's randomized query order means cache state varies round to
-//! round. The resolver speaks the wire format end to end: every cache miss
-//! encodes a query, decodes it, lets the authority answer the decoded
-//! question, encodes the response and decodes it again — keeping the RFC
-//! 1035 codec on the hot path, so `dns.codec_errors` and the
-//! `dns.wire_bytes` histogram measure real bytes.
+//! round. A cache miss runs the RFC 1035 codec wherever the codec can
+//! change the answer: it encodes a query, decodes it, lets the authority
+//! answer the decoded question, encodes the response and decodes it
+//! again. That is the path of a name the zone never interned and of an
+//! interned name that is not in wire form (an empty label, a label over 63
+//! bytes, more than 32 labels), whose decoded spelling picks the
+//! authority's entry, and of every AAAA query of a DNS64 resolver, whose
+//! synthesized answer runs through the codec too. An interned name in wire
+//! form decodes back to itself, so the round trip could only return its
+//! zone entry's answer: such a miss answers from the entry directly and
+//! records on `dns.wire_bytes` the bytes the exchange would have carried.
+//! Every counter and the histogram read the same on either path.
 //!
 //! Once warm, a lookup allocates nothing. The cache is keyed by the zone's
 //! interned [`NameId`]s under a multiplicative hash (ids are dense `u32`s,
@@ -19,7 +26,7 @@
 
 use crate::names::NameId;
 use crate::records::{Answer, RecordData, RecordType};
-use crate::wire::{MessageWriter, WireMessage, RCODE_NXDOMAIN};
+use crate::wire::{self, MessageWriter, WireMessage, RCODE_NXDOMAIN};
 use crate::zone::{ZoneDb, ZoneEntry};
 use ipv6web_packet::PacketError;
 use serde::{Deserialize, Serialize};
@@ -342,16 +349,29 @@ impl Resolver {
         now_s: u64,
     ) -> Option<Answer> {
         ipv6web_obs::inc("dns.queries");
-        // The query is encoded before the cache is consulted, because the
-        // encoder is where a name's labels are checked (at most 63 bytes
-        // each, at most 32 deep). A name outside those bounds can never
-        // round-trip, so it can never resolve: answer NXDOMAIN-ish before
-        // any cache traffic rather than tearing the codec. The bytes only
-        // go on the wire on a miss; a hit leaves the transaction id unused.
-        let mut query = MessageWriter::new(&mut self.wire.query, self.next_id, false, 0);
-        if query.question(name, qtype).is_err() {
-            ipv6web_obs::inc("dns.unencodable_names");
-            return None;
+        // An interned name in wire form decodes back to itself, so the
+        // codec would hand the authority the entry `id` names and carry its
+        // answer back unchanged: such a miss skips the codec. A DNS64 AAAA
+        // query keeps it for the synthesized answer.
+        let direct = match id {
+            Some(id) if !(self.dns64 && qtype == RecordType::Aaaa) => {
+                wire::wire_form_len(name).map(|name_len| (id, name_len))
+            }
+            _ => None,
+        };
+        // Any other query is encoded before the cache is consulted, because
+        // the encoder is where a name's labels are checked (at most 63
+        // bytes each, at most 32 deep). A name outside those bounds can
+        // never round-trip, so it can never resolve: answer NXDOMAIN-ish
+        // before any cache traffic rather than tearing the codec. The
+        // bytes only go on the wire on a miss; a hit leaves the
+        // transaction id unused.
+        if direct.is_none() {
+            let mut query = MessageWriter::new(&mut self.wire.query, self.next_id, false, 0);
+            if query.question(name, qtype).is_err() {
+                ipv6web_obs::inc("dns.unencodable_names");
+                return None;
+            }
         }
         let key = match id {
             Some(id) => NameKey::Id(id),
@@ -379,22 +399,32 @@ impl Resolver {
         ipv6web_obs::inc("dns.cache_misses");
         self.next_id = self.next_id.wrapping_add(1).max(1);
 
-        // The codec is exercised on our own well-formed messages, so a
-        // failure means a codec bug, not bad input. Degrade to an
-        // unanswered query (counted, uncached) instead of panicking the
-        // whole campaign thread.
-        let mut answer = match self.wire.exchange(zone, id, week) {
-            Err(_) => {
-                ipv6web_obs::inc("dns.codec_errors");
-                return None;
+        let answer = match direct {
+            Some((id, name_len)) => {
+                let answer = zone.entry_by_id(id).map(|entry| entry.answer(qtype, week));
+                if ipv6web_obs::enabled() {
+                    let bytes = wire::exchange_len(name_len, &answer.unwrap_or_default());
+                    ipv6web_obs::observe("dns.wire_bytes", bytes as u64);
+                }
+                answer
             }
-            Ok(None) => {
-                self.stats.nxdomain += 1;
-                ipv6web_obs::inc("dns.nxdomain");
-                self.negative.insert(line_key.0, now_s + NEGATIVE_TTL_S);
-                return None;
-            }
-            Ok(Some(answer)) => answer,
+            // The codec is exercised on our own well-formed messages, so a
+            // failure means a codec bug, not bad input. Degrade to an
+            // unanswered query (counted, uncached) instead of panicking the
+            // whole campaign thread.
+            None => match self.wire.exchange(zone, id, week) {
+                Ok(answer) => answer,
+                Err(_) => {
+                    ipv6web_obs::inc("dns.codec_errors");
+                    return None;
+                }
+            },
+        };
+        let Some(mut answer) = answer else {
+            self.stats.nxdomain += 1;
+            ipv6web_obs::inc("dns.nxdomain");
+            self.negative.insert(line_key.0, now_s + NEGATIVE_TTL_S);
+            return None;
         };
         if self.dns64 && qtype == RecordType::Aaaa {
             if answer.is_empty() {
@@ -682,6 +712,70 @@ mod tests {
         assert_eq!(r.resolve(&db, "a.example", RecordType::A, 0, 10), Some(cold));
         assert_eq!(r.stats().cache_misses, 2);
         assert_eq!(r.cache_len(), 2);
+    }
+
+    /// A zone of dual-stack and v4-only names, plus interned names with no
+    /// entry, which answer NXDOMAIN.
+    fn mixed_zone() -> (ZoneDb, Vec<NameId>) {
+        let entries = [
+            Some((Some("2001:db8::d0"), 3, 120)),
+            Some((Some("2001:db8::d1"), 0, 30)),
+            Some((None, 0, 300)),
+            Some((None, 0, 45)),
+            None,
+            None,
+        ];
+        let mut names = crate::names::NameTable::new();
+        let ids: Vec<NameId> =
+            (0..entries.len()).map(|i| names.intern(&format!("n{i}.example"))).collect();
+        let mut db = ZoneDb::with_names(names);
+        for (i, (&id, entry)) in ids.iter().zip(entries).enumerate() {
+            if let Some((v6, v6_from_week, ttl)) = entry {
+                let v4 = Ipv4Addr::new(192, 0, 2, i as u8);
+                let v6 = v6.map(|a: &str| a.parse().unwrap());
+                db.insert_id(id, ZoneEntry { v4, v6, v6_from_week, ttl });
+            }
+        }
+        (db, ids)
+    }
+
+    proptest::proptest! {
+        /// The direct path agrees with the codec at every step. One
+        /// resolver is queried by interned id, which answers wire-form names
+        /// from the zone entry (DNS64 AAAA queries aside); the other by the
+        /// same name plus a trailing dot, a spelling that is not interned
+        /// and so runs the codec and decodes to the interned name.
+        #[test]
+        fn direct_path_matches_the_codec(
+            ops in proptest::collection::vec(
+                (0u8..8, 0usize..6, proptest::prelude::any::<bool>(), 0u32..8, 0u64..200),
+                1..60,
+            ),
+        ) {
+            let (db, ids) = mixed_zone();
+            for fresh in [Resolver::new as fn() -> Resolver, Resolver::dns64] {
+                let (mut by_id, mut by_codec) = (fresh(), fresh());
+                let mut now = 0;
+                for &(op, n, aaaa, week, dt) in &ops {
+                    now += dt;
+                    if op == 0 {
+                        by_id.flush();
+                        by_codec.flush();
+                        continue;
+                    }
+                    let qtype = if aaaa { RecordType::Aaaa } else { RecordType::A };
+                    let spelled = format!("{}.", db.name_of(ids[n]));
+                    proptest::prop_assert_eq!(db.id_of(&spelled), None);
+                    proptest::prop_assert_eq!(
+                        by_id.resolve_id(&db, ids[n], qtype, week, now),
+                        by_codec.resolve(&db, &spelled, qtype, week, now),
+                        "n{} {:?} week {} at {}", n, qtype, week, now
+                    );
+                    proptest::prop_assert_eq!(by_id.stats(), by_codec.stats());
+                    proptest::prop_assert_eq!(by_id.cache_len(), by_codec.cache_len());
+                }
+            }
+        }
     }
 
     #[test]

@@ -13,8 +13,15 @@
 //! would reject — a label over [`MAX_LABEL_LEN`] bytes or more than
 //! [`MAX_LABELS`] labels — and checks both in the pass that writes the
 //! name.
+//!
+//! A name in *wire form* (`wire_form_len`) is one the codec carries and
+//! decodes back to the same spelling, and `exchange_len` is what a query
+//! for it and the response take on the wire. The resolver answers such
+//! names without running the codec; both functions sit beside the name
+//! encoder, pinned to it by tests, so the shortcut and the codec cannot
+//! disagree.
 
-use crate::records::{Record, RecordData, RecordType};
+use crate::records::{AnswerRecord, Record, RecordData, RecordType};
 use bytes::BufMut;
 use ipv6web_packet::PacketError;
 
@@ -183,12 +190,8 @@ impl<'a> MessageWriter<'a> {
         put_name(self.out, name)?;
         let [type_hi, type_lo] = data.record_type().code().to_be_bytes();
         let [t0, t1, t2, t3] = ttl.to_be_bytes();
-        let rdlen = match data {
-            RecordData::V4(_) => 4,
-            RecordData::V6(_) => 16,
-        };
         // type, class IN, TTL, RDLENGTH
-        self.out.put_slice(&[type_hi, type_lo, 0, 1, t0, t1, t2, t3, 0, rdlen]);
+        self.out.put_slice(&[type_hi, type_lo, 0, 1, t0, t1, t2, t3, 0, rdata_len(data)]);
         match data {
             RecordData::V4(ip) => self.out.put_slice(&ip.octets()),
             RecordData::V6(ip) => self.out.put_slice(&ip.octets()),
@@ -221,6 +224,43 @@ fn put_name(out: &mut Vec<u8>, name: &str) -> Result<(), PacketError> {
     }
     out.put_u8(0);
     Ok(())
+}
+
+/// The bytes [`put_name`] writes for `name` when the name is in wire form,
+/// else `None`. A wire-form name is non-empty and has no empty label (no
+/// leading, trailing or doubled dot), at most [`MAX_LABELS`] labels and
+/// none longer than [`MAX_LABEL_LEN`] bytes: it encodes, and decodes back
+/// to exactly itself.
+pub(crate) fn wire_form_len(name: &str) -> Option<usize> {
+    let mut labels = 0;
+    for label in name.as_bytes().split(|&b| b == b'.') {
+        labels += 1;
+        if label.is_empty() || label.len() > MAX_LABEL_LEN || labels > MAX_LABELS {
+            return None;
+        }
+    }
+    // a length byte per label stands in for each dot, plus the root label
+    Some(name.len() + 2)
+}
+
+/// The bytes one exchange takes on the wire: a query whose name encodes
+/// into `name_len` bytes, plus the response to it carrying `answer` (empty
+/// for NODATA and NXDOMAIN) — what [`MessageWriter`] writes for the two.
+pub(crate) fn exchange_len(name_len: usize, answer: &[AnswerRecord]) -> usize {
+    // header, name, type and class; the response repeats the question
+    let question = 12 + name_len + 4;
+    // name, type, class, TTL, RDLENGTH and RDATA
+    let records: usize =
+        answer.iter().map(|r| name_len + 10 + usize::from(rdata_len(r.data))).sum();
+    2 * question + records
+}
+
+/// RDLENGTH of an address payload.
+fn rdata_len(data: RecordData) -> u8 {
+    match data {
+        RecordData::V4(_) => 4,
+        RecordData::V6(_) => 16,
+    }
 }
 
 /// `start..end` of one decoded name inside [`WireMessage`]'s name buffer.
@@ -393,6 +433,7 @@ impl WireMessage {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::records::Answer;
     use proptest::prelude::*;
     use std::net::{Ipv4Addr, Ipv6Addr};
 
@@ -567,6 +608,39 @@ mod tests {
         );
     }
 
+    #[test]
+    fn wire_form_edge_cases() {
+        let long = "x".repeat(MAX_LABEL_LEN + 1);
+        let deep = vec!["a"; MAX_LABELS + 1].join(".");
+        for name in ["", ".", ".a", "a.", "a..b", "a.example.", &long, &deep] {
+            assert_eq!(wire_form_len(name), None, "{name:?}");
+        }
+        let max = "x".repeat(MAX_LABEL_LEN);
+        let legal = vec!["a"; MAX_LABELS].join(".");
+        for name in ["a", "a.example", "-.0", &max, &legal] {
+            assert_eq!(wire_form_len(name), Some(name.len() + 2), "{name:?}");
+        }
+    }
+
+    /// One label of a name that may or may not be in wire form: mostly a
+    /// short one, sometimes empty, 63 bytes or 64 bytes.
+    fn any_label() -> impl Strategy<Value = String> {
+        (0u8..8, "[a-z0-9-]{1,12}").prop_map(|(pick, short)| match pick {
+            0 => String::new(),
+            1 => "x".repeat(MAX_LABEL_LEN),
+            2 => "x".repeat(MAX_LABEL_LEN + 1),
+            _ => short,
+        })
+    }
+
+    /// The labels of a wire-form name, from one label to the deepest.
+    fn wire_form_labels() -> impl Strategy<Value = Vec<String>> {
+        prop_oneof![
+            proptest::collection::vec("[a-z0-9-]{1,63}", 1..4),
+            proptest::collection::vec("[a-z]{1,3}", MAX_LABELS - 1..MAX_LABELS + 1),
+        ]
+    }
+
     /// Byte strings that sometimes decode: valid messages, mutated ones,
     /// truncated ones, padded ones, and plain noise.
     fn wire_bytes() -> impl Strategy<Value = Vec<u8>> {
@@ -623,6 +697,64 @@ mod tests {
                 let got = reused.decode(bytes).map(|()| reused.to_message());
                 prop_assert_eq!(got, owned);
             }
+        }
+
+        /// The wire-form test is false exactly for names with an empty
+        /// label (`""` and stray dots), a label over 63 bytes or more than
+        /// 32 labels; a wire-form name encodes into the length it reports
+        /// and decodes back to itself.
+        #[test]
+        fn wire_form_matches_the_codec(
+            labels in prop_oneof![
+                proptest::collection::vec(any_label(), 1..5),
+                proptest::collection::vec("[a-z]{1,3}", MAX_LABELS..MAX_LABELS + 2),
+            ],
+        ) {
+            let name = labels.join(".");
+            let expected = labels.len() <= MAX_LABELS
+                && labels.iter().all(|l| !l.is_empty() && l.len() <= MAX_LABEL_LEN);
+            prop_assert_eq!(wire_form_len(&name).is_some(), expected, "{:?}", name);
+            if let Some(len) = wire_form_len(&name) {
+                let mut out = Vec::new();
+                MessageWriter::new(&mut out, 1, false, 0).question(&name, RecordType::A).unwrap();
+                prop_assert_eq!(out.len(), 12 + len + 4);
+                let decoded = DnsMessage::decode(&out).unwrap();
+                prop_assert_eq!(&decoded.questions[0].name, &name);
+            }
+        }
+
+        /// `exchange_len` is the bytes the writer puts out for a query and
+        /// its NODATA, one-record or NXDOMAIN response, for either qtype.
+        #[test]
+        fn exchange_len_matches_the_writer(
+            labels in wire_form_labels(),
+            aaaa in any::<bool>(),
+            shape in 0u8..3,
+            ttl in any::<u32>(),
+            bits in any::<u128>(),
+        ) {
+            let name = labels.join(".");
+            let name_len = wire_form_len(&name).unwrap();
+            let qtype = if aaaa { RecordType::Aaaa } else { RecordType::A };
+            let data = if aaaa {
+                RecordData::V6(Ipv6Addr::from(bits))
+            } else {
+                RecordData::V4(Ipv4Addr::from(bits as u32))
+            };
+            let (answer, rcode) = match shape {
+                0 => (Answer::NODATA, 0),
+                1 => (Answer::record(data, ttl), 0),
+                _ => (Answer::NODATA, RCODE_NXDOMAIN),
+            };
+            let mut query = Vec::new();
+            MessageWriter::new(&mut query, 7, false, 0).question(&name, qtype).unwrap();
+            let mut response = Vec::new();
+            let mut w = MessageWriter::new(&mut response, 7, true, rcode);
+            w.question(&name, qtype).unwrap();
+            for r in answer.iter() {
+                w.answer(&name, r.ttl, r.data).unwrap();
+            }
+            prop_assert_eq!(exchange_len(name_len, &answer), query.len() + response.len());
         }
 
         #[test]

@@ -70,6 +70,7 @@ fn counters_identical_across_thread_and_worker_counts() {
     // sanity: the campaign actually recorded something
     assert!(serial.counter("monitor.probes") > 0, "probes counted");
     assert!(serial.counter("bgp.routes_computed") > 0, "routes counted");
+    assert_every_exchange_observed_once(&serial);
     // gauges are allowed to differ (they report the configuration itself)
     assert_eq!(serial.gauge("par.peak_threads"), 1);
     assert_eq!(parallel.gauge("par.peak_threads"), 4);
@@ -119,6 +120,19 @@ fn nat64_counters_identical_across_thread_and_worker_counts() {
     // sanity: the translation plane actually fired
     assert!(serial.counter("dns64.synthesized") > 0, "DNS64 synthesized AAAAs");
     assert!(serial.counter("xlat.translated_paths") > 0, "probes crossed a NAT64 gateway");
+    assert_every_exchange_observed_once(&serial);
+}
+
+/// Every resolver miss records one `dns.wire_bytes` observation, whether
+/// it ran the codec or answered from the zone entry, and so does every
+/// DNS64 synthesis pass.
+fn assert_every_exchange_observed_once(snap: &obs::Snapshot) {
+    let observed = snap.histograms.get("dns.wire_bytes").map_or(0, |h| h.count);
+    assert_eq!(
+        observed,
+        snap.counter("dns.cache_misses") + snap.counter("dns64.synthesized"),
+        "dns.wire_bytes observations"
+    );
 }
 
 #[test]
