@@ -167,15 +167,16 @@ fn bench_rng(c: &mut Criterion) {
     });
 }
 
-/// One weekly round of vantage 0 at its start week, single-worker, through
-/// `run_campaign`: list ingest, the shuffled order, every probe and the
-/// database updates. `internet-smoke`'s 42,219 sites outgrow the caches;
-/// `panel`'s 706 stay resident.
+/// One weekly round of vantage 0 at its start week through `run_campaign`:
+/// list ingest, the shuffled order, every probe and the database updates.
+/// `internet-smoke`'s 42,219 sites outgrow the caches; `panel`'s 706 stay
+/// resident.
 fn bench_round(c: &mut Criterion) {
     let mut g = c.benchmark_group("round");
     g.sample_size(10);
-    // `_pool2` runs the same round on a two-worker pool, a path no study
-    // benchmark workload takes
+    // `_pool2` runs the same round on a two-worker pool, each worker running
+    // the one-worker loop on its half of the sites; no study benchmark
+    // workload runs a round wider than one worker
     for (name, scenario, widths) in [
         ("round_internet_smoke", Scenario::internet_smoke(42), &[1, 2][..]),
         ("round_panel", Scenario::panel(42), &[1][..]),

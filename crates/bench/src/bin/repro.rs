@@ -9,7 +9,7 @@
 //! repro all --scale panel        # 200 generated vantage points, disagreement section
 //! repro all --seed 7 --json out.json
 //! repro all --fault-plan plan.json --checkpoint-dir ckpt/
-//! repro all --metrics BENCH.json --baseline BENCH_baseline.json
+//! repro all --metrics BENCH.json --baseline BENCH_quick_baseline.json
 //! repro sweep sweep.json --store out/ --procs 4   # supervised study sweep
 //! ```
 

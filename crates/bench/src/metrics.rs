@@ -3,10 +3,10 @@
 //! `repro --metrics <path>` writes a [`BenchReport`] *alongside* — never
 //! inside — the bit-comparable study report: wall times vary run to run,
 //! so they must stay out of anything CI byte-compares. The committed
-//! `BENCH_baseline.json` plus [`check_regression`] turn the file into a
-//! smoke gate: a quick-scale run that gets more than 50% slower than the
-//! baseline, or whose counters or histograms differ from it at all, fails
-//! the build.
+//! `BENCH_<scale>_baseline.json` files plus [`check_regression`] turn the
+//! file into a smoke gate: a run that gets more than 50% slower than its
+//! scale's baseline, or whose counters or histograms differ from it at all,
+//! fails the build.
 
 use ipv6web_obs::{Snapshot, SpanRecord, Timings};
 use serde::{Deserialize, Serialize};

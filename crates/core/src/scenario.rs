@@ -3,10 +3,10 @@
 use ipv6web_alexa::AdoptionTimeline;
 use ipv6web_analysis::AnalysisConfig;
 use ipv6web_faults::FaultPlan;
-use ipv6web_monitor::{CampaignConfig, DisturbanceConfig, VantagePopulation};
+use ipv6web_monitor::{CampaignConfig, DisturbanceConfig, VantagePoint, VantagePopulation};
 use ipv6web_netsim::TcpConfig;
-use ipv6web_stats::RelativeCiRule;
-use ipv6web_topology::TopologyConfig;
+use ipv6web_stats::{fnv1a64, RelativeCiRule};
+use ipv6web_topology::{AsId, TopologyConfig};
 use ipv6web_web::PopulationConfig;
 use ipv6web_xlat::{ClientStack, XlatConfig};
 use serde::{Deserialize, Serialize};
@@ -378,16 +378,9 @@ impl Scenario {
         self.xlat.validate().map_err(|e| format!("xlat: {e}"))?;
         match &self.vantage_population {
             None => {
-                const VANTAGES: [&str; 6] = [
-                    "Comcast",
-                    "Go6-Slovenia",
-                    "Loughborough U.",
-                    "Penn",
-                    "Tsinghua U.",
-                    "UPC Broadband",
-                ];
+                let table1 = VantagePoint::paper_table1(&[AsId(0); 6]);
                 for (name, _) in &self.xlat.stacks {
-                    if !VANTAGES.contains(&name.as_str()) {
+                    if !table1.iter().any(|v| v.name == *name) {
                         return Err(format!(
                             "xlat: unknown vantage point {name:?} in stack assignment"
                         ));
@@ -437,12 +430,7 @@ impl Scenario {
     pub fn config_hash(&self) -> u64 {
         let json =
             serde_json::to_string(&self.identity_scenario()).expect("scenario always serializes");
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for b in json.bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        h
+        fnv1a64(json.as_bytes())
     }
 }
 

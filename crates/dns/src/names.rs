@@ -7,6 +7,7 @@
 //! arena and hands out dense `u32` [`NameId`]s; everything else carries the
 //! id and borrows the bytes back on demand.
 
+use ipv6web_stats::fnv1a64;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
@@ -21,18 +22,6 @@ impl NameId {
     }
 }
 
-/// FNV-1a over the name bytes — the table's string→id index key. Collisions
-/// are resolved against the arena, so the hash only has to be cheap, not
-/// perfect.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 /// Append-only symbol table of DNS names: one byte arena plus offsets, with
 /// a hash index for string→id lookup. Interning the same name twice returns
 /// the same id.
@@ -41,7 +30,9 @@ pub struct NameTable {
     bytes: String,
     /// `offsets[i]..offsets[i + 1]` spans name `i`; length is `len() + 1`.
     offsets: Vec<u32>,
-    /// Name-hash → id of the first name seen with that hash.
+    /// FNV-1a name hash → id of the first name seen with that hash.
+    /// Collisions are resolved against the arena, so the hash only has to
+    /// be cheap, not perfect.
     index: HashMap<u64, u32>,
     /// Ids whose name hash collided with an earlier, different name.
     collisions: Vec<u32>,
@@ -82,7 +73,7 @@ impl NameTable {
         let end = u32::try_from(end).expect("name arena exceeds u32 offset space");
         self.bytes.push_str(name);
         self.offsets.push(end);
-        let h = fnv1a(name.as_bytes());
+        let h = fnv1a64(name.as_bytes());
         match self.index.entry(h) {
             std::collections::hash_map::Entry::Vacant(e) => {
                 e.insert(id);
@@ -116,7 +107,7 @@ impl NameTable {
 
     /// Looks up the id of `name`, if interned.
     pub fn id_of(&self, name: &str) -> Option<NameId> {
-        let h = fnv1a(name.as_bytes());
+        let h = fnv1a64(name.as_bytes());
         if let Some(&id) = self.index.get(&h) {
             if self.get(NameId(id)) == name {
                 return Some(NameId(id));

@@ -2,8 +2,11 @@
 //!
 //! Mirrors the tool's structure from Fig 2: each round refreshes the
 //! ranked list (new sites join the monitored set permanently), randomizes
-//! the site order, and fans the sites out to a pool of worker threads
-//! through [`ipv6web_par::fan_out`], each worker with its own resolver.
+//! the site order, and splits the sites into one contiguous part per worker
+//! thread of the pool ([`ipv6web_par::fan_out`]). Every worker, the lone
+//! one of a one-worker round included, runs the same loop with its own
+//! resolver: it walks the shuffled order, probes the sites of its part and
+//! loads the lines of the sites coming up before their probes start.
 //! The worker count is validated against [`CampaignConfig::max_workers`]
 //! up front — an out-of-range configuration is a typed [`ConfigError`],
 //! not a panic or a silent clamp. Every probe derives its randomness from
@@ -24,8 +27,8 @@ use crate::probe::{probe_site, ProbeContext, ProbeOutcome};
 use crate::vantage::VantagePoint;
 use ipv6web_alexa::{MonitoredSet, TopList};
 use ipv6web_dns::Resolver;
-use ipv6web_par::prefetch;
-use ipv6web_stats::RngLabel;
+use ipv6web_par::{prefetch, worker_share};
+use ipv6web_stats::{fnv1a64, RngLabel};
 use ipv6web_web::SiteId;
 use rand::seq::SliceRandom;
 use serde::{Deserialize, Serialize};
@@ -322,12 +325,12 @@ fn round_order(seed: u64, vantage: &str, week: u32, n: usize) -> Vec<u32> {
     order
 }
 
-/// How many probes ahead of the running one the single-worker round loads
-/// a `Site`, and the name, zone entry and outcome slot it leads to. One
-/// probe outlasts a memory miss: on `internet-smoke` the traced median is
-/// ~0.9 µs for a v4-only probe and ~5 µs for a measured one. Distances of
-/// 16 and 8 measured no better, though before resolver misses skipped the
-/// wire codec.
+/// How many positions of the round's order ahead of the running probe a
+/// worker loads a `Site`, and the name, zone entry and outcome slot it
+/// leads to. One probe outlasts a memory miss: on `internet-smoke` the
+/// traced median is ~0.9 µs for a v4-only probe and ~5 µs for a measured
+/// one. Distances of 16 and 8 measured no better, though before resolver
+/// misses skipped the wire codec.
 const SITE_AHEAD: usize = 2;
 const NAME_AHEAD: usize = 1;
 
@@ -351,17 +354,38 @@ fn run_pool(
     // vantage-parallel study (campaign fan-out × per-round pool) never
     // oversubscribes the machine. On a share of 1 the round runs inline —
     // no spawns — which is also the fast path on small hosts.
-    let workers = workers.min(sites.len().max(1)).min(ipv6web_par::allowance());
+    let n = sites.len();
+    let workers = workers.min(n.max(1)).min(ipv6web_par::allowance());
     ipv6web_obs::inc("monitor.rounds");
     ipv6web_obs::gauge_max("monitor.peak_workers", workers as u64);
-    if workers == 1 {
-        let mut out: Vec<Option<ProbeOutcome>> = vec![None; sites.len()];
+    // Worker `w` owns the `w`-th of `workers` contiguous parts of the
+    // outcome slots. `workers <= n` leaves no part of a non-empty round
+    // empty, so `monitor.peak_workers` counts only workers that probe.
+    let mut out = vec![None; n];
+    let mut rest = &mut out[..];
+    let parts = (0..workers).map(|w| {
+        let start = n - rest.len();
+        let (part, tail) = std::mem::take(&mut rest).split_at_mut(worker_share(n, workers, w));
+        rest = tail;
+        (start, part)
+    });
+    ipv6web_par::fan_out(workers, parts, |(start, part)| {
+        // Each worker keeps its own caching resolver, like each of the
+        // paper's monitoring threads resolving independently, and probes
+        // its own sites in the round's order.
         let mut resolver = resolver_for(ctx);
+        let mine = start..start + part.len();
         for (i, &k) in order.iter().enumerate() {
+            let k = k as usize;
+            if !mine.contains(&k) {
+                continue;
+            }
             // The shuffled order reaches each site's lines cold once a
-            // round outgrows the cache: start loading the `Site` two probes
-            // ahead, and the next probe's name, zone entry and outcome slot
-            // (its `Site` arrived a probe ago), while this probe runs.
+            // round outgrows the cache: start loading the `Site` two
+            // positions ahead, and the next position's name, zone entry
+            // and outcome slot (its `Site` arrived a probe ago), while this
+            // probe runs. In a wider pool these may be another worker's,
+            // which costs a wasted hint and changes no result.
             if let Some(&next) = order.get(i + SITE_AHEAD) {
                 if let Some(site) = ctx.sites.get(sites[next as usize].index()) {
                     prefetch(site);
@@ -372,24 +396,15 @@ fn run_pool(
                 if let Some(site) = ctx.sites.get(sites[next].index()) {
                     ctx.zone.prefetch(site.name);
                 }
-                prefetch(&out[next]);
+                if let Some(slot) = next.checked_sub(start).and_then(|j| part.get(j)) {
+                    prefetch(slot);
+                }
             }
-            let k = k as usize;
-            out[k] = Some(probe_site(ctx, &mut resolver, sites[k], week, salt, ipv6_day_mode));
+            part[k - start] =
+                Some(probe_site(ctx, &mut resolver, sites[k], week, salt, ipv6_day_mode));
         }
-        return out;
-    }
-
-    // Each worker keeps its own caching resolver, like each of the paper's
-    // monitoring threads resolving independently, and takes the next site
-    // in the round's order; each outcome lands in its site's slot.
-    ipv6web_par::fan_out(
-        workers,
-        sites.len(),
-        |p| order[p] as usize,
-        || resolver_for(ctx),
-        |resolver, k| Some(probe_site(ctx, resolver, sites[k], week, salt, ipv6_day_mode)),
-    )
+    });
+    out
 }
 
 /// The checkpoint file a vantage point's campaign writes under `dir`:
@@ -415,12 +430,7 @@ fn checkpoint(db: &MonitorDb, dir: Option<&Path>) -> Result<(), CampaignError> {
 /// weeks, and client stacks, so any population change flips it.
 pub fn population_hash(vantages: &[VantagePoint]) -> u64 {
     let json = serde_json::to_string(&vantages.to_vec()).expect("vantages serialize");
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in json.as_bytes() {
-        h ^= *b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+    fnv1a64(json.as_bytes())
 }
 
 /// On-disk population stamp (`population.stamp.json` inside the
@@ -736,8 +746,7 @@ mod tests {
 
     /// Every pool width must return what probing `sites[order[k]]` in turn
     /// with one resolver returns, rounds too short to look ahead in or to
-    /// share out included: width 1 is the inline loop that loads lines
-    /// ahead of its probes, wider pools run on `ipv6web_par::fan_out`.
+    /// share out included, and rounds whose parts differ in length.
     #[test]
     fn round_matches_plain_probe_loop_at_every_width() {
         let w = world(600);
@@ -747,7 +756,7 @@ mod tests {
         let pf = ProbeFaults { injector: &injector, retry: plan.retry, v6_epochs: vec![] };
         let week = 7;
         for c in [base, ProbeContext { faults: Some(&pf), ..base }] {
-            for n in [0, 1, 2, 3, 211] {
+            for n in [0, 1, 2, 3, 5, 211] {
                 let sites: Vec<SiteId> = w.sites.iter().step_by(2).take(n).map(|s| s.id).collect();
                 assert_eq!(sites.len(), n);
                 let order = round_order(c.seed, "TestVP", week, n);
@@ -760,7 +769,7 @@ mod tests {
                     let k = k as usize;
                     want[k] = Some(probe_site(&c, &mut resolver, sites[k], week, 0, false));
                 }
-                for workers in [1, 2, 4] {
+                for workers in [1, 2, 3, 4] {
                     let got = ipv6web_par::with_allowance(4, || {
                         run_pool(&c, &sites, &order, week, 0, false, workers)
                     });

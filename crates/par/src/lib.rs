@@ -7,16 +7,17 @@
 //! `xs.iter().map(f).collect()` whenever `f` itself is deterministic.
 //!
 //! Every in-process fan-out runs on one engine, [`fan_out`]: `par_map`,
-//! and the monitor's probe pool, which keeps one resolver per worker. It
-//! spawns the workers, hands out work, splits the thread budget and merges
-//! obs shards in one place.
+//! and the monitor's probe pool, which hands each worker one contiguous
+//! part of a round. It spawns the workers, hands out items, splits the
+//! thread budget and merges obs shards in one place.
 //!
 //! Thread count comes from the `IPV6WEB_THREADS` environment variable when
 //! set (a value of `1` forces the sequential path, used by the determinism
 //! tests), else from `std::thread::available_parallelism`.
 //!
-//! The one hint for the other side of the same loops, a sequential worker
-//! whose next items are known in advance, is [`prefetch`].
+//! A worker whose next items are known in advance, like every worker of
+//! the probe pool walking its round's shuffled order, can start loading
+//! them early with [`prefetch`].
 //!
 //! # The two-level worker budget
 //!
@@ -32,34 +33,10 @@
 //! oversubscribing. The sum of live leaf workers never exceeds the budget.
 
 use std::cell::Cell;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 /// Environment variable overriding the worker count.
 pub const THREADS_ENV: &str = "IPV6WEB_THREADS";
-
-/// Environment variable carrying the *process-level* tier of the budget:
-/// how many worker **processes** a multi-process driver (the sweep
-/// orchestrator) shards work across. Threads split `IPV6WEB_THREADS`
-/// inside one process; processes split the same budget across address
-/// spaces — the orchestrator hands each child `IPV6WEB_THREADS =
-/// process_share(procs, p)` so `procs × threads` never oversubscribes
-/// the machine, exactly like nested `par_map` fan-outs never do.
-pub const PROCS_ENV: &str = "IPV6WEB_PROCS";
-
-/// Number of worker processes to shard across: `IPV6WEB_PROCS` if set to
-/// a positive integer, else 1 (single-process operation; the thread tier
-/// alone). Callers with an explicit `--procs` flag override this.
-pub fn process_count() -> usize {
-    if let Ok(v) = std::env::var(PROCS_ENV) {
-        if let Ok(n) = v.trim().parse::<usize>() {
-            if n >= 1 {
-                return n;
-            }
-        }
-    }
-    1
-}
 
 /// The `IPV6WEB_THREADS` budget worker process `p` of `procs` should run
 /// under: the same remainder-spreading split as [`worker_share`], applied
@@ -156,65 +133,55 @@ where
     ipv6web_obs::gauge_max("par.peak_threads", workers as u64);
     ipv6web_obs::add("par.fanouts", 1);
     ipv6web_obs::add("par.items", items.len() as u64);
-    if workers == 1 {
-        // Inline on the calling thread, which keeps its full allowance:
-        // a lone item's nested fan-outs may still use the whole budget.
-        return items.iter().enumerate().map(|(i, x)| f(i, x)).collect();
-    }
-    fan_out(workers, items.len(), |i| i, || (), |_, i| f(i, &items[i]))
+    fan_out(workers, items.iter().enumerate(), |(i, x)| f(i, x))
 }
 
-/// The fan-out engine behind [`par_map`] and the monitor's probe pool.
+/// The fan-out engine behind [`par_map`] and the monitor's probe pool:
+/// `items.map(f).collect()` over up to `width` workers.
 ///
-/// Spawns `width` scoped workers; worker `w` runs with
-/// [`worker_share`]`(allowance(), width, w)` as its own allowance and
-/// builds its per-worker state with `init()` once. Workers take positions
-/// `0..n` from a shared counter in ascending order; position `p` fills
-/// slot `k = order(p)` of the returned vector with `f(&mut state, k)`.
-/// `order` must be a permutation of `0..n`, so the output never depends
-/// on scheduling when `f` is deterministic. Every worker merges its obs
-/// shard before it exits, so counter totals do not depend on the width
+/// The width is clamped to the item count. At width 1 the items run inline
+/// on the calling thread, which keeps its full allowance, so a lone item's
+/// nested fan-outs may still use the whole budget. Otherwise `width` scoped
+/// workers start; worker `w` runs with
+/// [`worker_share`]`(allowance(), width, w)` as its own allowance and takes
+/// items one at a time from one shared queue, each with the output slot it
+/// fills. The output is in item order whatever the schedule, so it never
+/// depends on the width when `f` is deterministic. Every worker merges its
+/// obs shard before it exits, so counter totals do not depend on the width
 /// either.
 ///
 /// # Panics
-/// A panic in `init` or `f` is a bug, not a partial result: once every
-/// worker has stopped, the first worker's panic resumes in the caller
-/// with its original payload.
-pub fn fan_out<S, U>(
+/// A panic in `f` is a bug, not a partial result: once every worker has
+/// stopped, the first worker's panic resumes in the caller with its
+/// original payload.
+pub fn fan_out<T, U>(
     width: usize,
-    n: usize,
-    order: impl Fn(usize) -> usize + Sync,
-    init: impl Fn() -> S + Sync,
-    f: impl Fn(&mut S, usize) -> U + Sync,
+    items: impl ExactSizeIterator<Item = T> + Send,
+    f: impl Fn(T) -> U + Sync,
 ) -> Vec<U>
 where
+    T: Send,
     U: Send,
 {
+    let width = width.min(items.len());
+    if width <= 1 {
+        return items.map(f).collect();
+    }
     let budget = allowance();
-    let next = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<U>>> = (0..n).map(|_| Mutex::new(None)).collect();
+    let mut out: Vec<Option<U>> = (0..items.len()).map(|_| None).collect();
+    let queue = Mutex::new(items.zip(out.iter_mut()));
     let panic = std::thread::scope(|scope| {
-        let (next, slots, order, init, f) = (&next, &slots, &order, &init, &f);
+        let (queue, f) = (&queue, &f);
         let workers: Vec<_> = (0..width)
             .map(|w| {
                 let share = worker_share(budget, width, w).max(1);
                 scope.spawn(move || {
                     ALLOWANCE.with(|c| c.set(share));
-                    let mut state = init();
-                    loop {
-                        // the counter publishes nothing: results travel
-                        // through the slot locks and the join
-                        let p = next.fetch_add(1, Ordering::Relaxed);
-                        if p >= n {
-                            break;
-                        }
-                        let k = order(p);
-                        let value = f(&mut state, k);
-                        let previous = slots[k]
-                            .lock()
-                            .expect("no slot lock is held across a panic")
-                            .replace(value);
-                        assert!(previous.is_none(), "slot {k} filled twice");
+                    // The guard drops before `f` runs. A poisoned queue
+                    // means another worker panicked inside the items
+                    // iterator, and that panic is the one the caller sees.
+                    while let Some((item, slot)) = queue.lock().ok().and_then(|mut q| q.next()) {
+                        *slot = Some(f(item));
                     }
                     ipv6web_obs::flush_thread();
                 })
@@ -233,13 +200,7 @@ where
     if let Some(payload) = panic {
         std::panic::resume_unwind(payload);
     }
-    slots
-        .into_iter()
-        .map(|s| {
-            let value = s.into_inner().expect("no slot lock is held across a panic");
-            value.expect("every slot filled exactly once")
-        })
-        .collect()
+    out.into_iter().map(|slot| slot.expect("every item is taken exactly once")).collect()
 }
 
 /// Starts loading every cache line `value` occupies into the L1 cache and
@@ -268,6 +229,7 @@ pub fn prefetch<T: ?Sized>(value: &T) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
     fn preserves_input_order() {
@@ -296,27 +258,16 @@ mod tests {
     }
 
     #[test]
-    fn fan_out_fills_each_slot_once_with_one_state_per_worker() {
-        // positions are handed out in a scrambled slot order, as the probe
-        // pool hands out a round's shuffled sites
-        let order: Vec<usize> = (0..500).map(|p| p * 7 % 500).collect();
-        let states = AtomicUsize::new(0);
-        let init = || {
-            states.fetch_add(1, Ordering::SeqCst);
-            0usize
-        };
-        let out = fan_out(
-            4,
-            order.len(),
-            |p| order[p],
-            init,
-            |done, k| {
-                *done += 1;
+    fn fan_out_hands_each_owned_item_to_one_call() {
+        for width in [1, 4] {
+            let mut calls = vec![0u32; 500];
+            let out = fan_out(width, calls.iter_mut().enumerate(), |(k, calls)| {
+                *calls += 1;
                 k * 3
-            },
-        );
-        assert_eq!(out, (0..500).map(|k| k * 3).collect::<Vec<_>>());
-        assert_eq!(states.load(Ordering::SeqCst), 4, "one state per worker");
+            });
+            assert_eq!(out, (0..500).map(|k| k * 3).collect::<Vec<_>>(), "width {width}");
+            assert!(calls.iter().all(|&c| c == 1), "width {width}: {calls:?}");
+        }
     }
 
     #[test]
@@ -333,21 +284,11 @@ mod tests {
             });
             assert_eq!(payload(r), "item 37", "width {width}");
         }
-        // the same with per-worker state
+        // the same from inside the items iterator, which runs under the
+        // queue lock
         let r = std::panic::catch_unwind(|| {
-            fan_out(
-                4,
-                items.len(),
-                |p| p,
-                Vec::new,
-                |seen: &mut Vec<usize>, k| {
-                    seen.push(k);
-                    if k == 37 {
-                        panic!("item 37");
-                    }
-                    seen.len() as u32
-                },
-            )
+            let items = items.iter().map(|&x| if x == 37 { panic!("item 37") } else { x });
+            fan_out(4, items, |x| x)
         });
         assert_eq!(payload(r), "item 37");
     }
@@ -419,15 +360,6 @@ mod tests {
     }
 
     #[test]
-    fn process_count_defaults_to_one() {
-        // IPV6WEB_PROCS is unset in the test environment; the thread tier
-        // alone is the default.
-        if std::env::var(PROCS_ENV).is_err() {
-            assert_eq!(process_count(), 1);
-        }
-    }
-
-    #[test]
     fn process_shares_cover_the_thread_budget() {
         let budget = thread_count();
         for procs in 1..=budget {
@@ -458,7 +390,6 @@ mod tests {
 
     #[test]
     fn with_allowance_bounds_nested_fan_out() {
-        use std::sync::atomic::AtomicUsize;
         let live = AtomicUsize::new(0);
         let peak = AtomicUsize::new(0);
         with_allowance(2, || {
@@ -475,14 +406,18 @@ mod tests {
     }
 
     #[test]
-    fn workers_inherit_their_share_as_allowance() {
-        // Budget 5 over 2 workers: shares are {3, 2}. Whatever item lands
-        // on whatever worker, the observed allowance is one of the shares.
-        let items = [(); 2];
-        let seen = with_allowance(5, || par_map(&items, |_, _| allowance()));
-        for a in &seen {
-            assert!(*a == 2 || *a == 3, "allowance {a} is not a share of 5/2");
-        }
+    fn inline_fan_out_keeps_the_allowance_and_workers_get_shares() {
+        with_allowance(5, || {
+            // width 1, or one item at any width, runs inline on the caller
+            assert_eq!(fan_out(1, 0..3, |_| allowance()), vec![5; 3]);
+            assert_eq!(fan_out(4, 0..1, |_| allowance()), vec![5]);
+            // budget 5 over 2 workers: shares are {3, 2}; whatever item
+            // lands on whatever worker, it sees one of them
+            for a in fan_out(2, 0..64, |_| allowance()) {
+                assert!(a == 2 || a == 3, "allowance {a} is not a share of 5/2");
+            }
+            assert_eq!(allowance(), 5, "the caller's allowance survives the fan-out");
+        });
     }
 
     #[test]

@@ -31,5 +31,5 @@ pub use hist::{zero_mode, Histogram, ZeroMode};
 pub use median_filter::{detect_transition, detect_transition_paper, MedianFilter, Transition};
 pub use quantile::{quantile, summary, summary_sorted, Summary};
 pub use regress::{linear_regression, trend, trend_paper, Regression, Trend};
-pub use rng::{coin, derive_rng, lognormal, RngLabel, StudyRng};
+pub use rng::{coin, derive_rng, fnv1a64, lognormal, RngLabel, StudyRng};
 pub use welford::Welford;

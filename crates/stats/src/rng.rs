@@ -24,6 +24,14 @@ pub fn derive_rng(seed: u64, label: &str) -> StudyRng {
 const FNV_OFFSET: u64 = 0xcbf29ce484222325;
 const FNV_PRIME: u64 = 0x100000001b3;
 
+/// FNV-1a, 64-bit, over `bytes`: the hash [`RngLabel`] folds a label with,
+/// and the one behind the study's persisted identities (config and
+/// population hashes) and the interned-name index.
+#[inline]
+pub fn fnv1a64(bytes: &[u8]) -> u64 {
+    RngLabel::new().push_bytes(bytes).hash
+}
+
 /// An RNG label hashed as it is built — the allocation-free form of
 /// `derive_rng(seed, &format!(..))`.
 ///

@@ -16,7 +16,7 @@ fn usage() -> i32 {
          \x20      ipv6web-sweep worker --spec FILE --index N --store DIR\n\
          \n\
          Expands the sweep spec into a deterministic study matrix, shards it\n\
-         across N worker processes (default $IPV6WEB_PROCS or 1), and merges\n\
+         across N worker processes (default 1), and merges\n\
          per-study records into DIR/results.json + DIR/summary.txt. A killed\n\
          sweep re-run with the same spec and store resumes: only studies\n\
          without a record are re-run, and the merged output is byte-identical."
@@ -155,7 +155,7 @@ fn emit_spec_main(args: &[String]) -> i32 {
 fn run_main(args: &[String], worker_prefix: &[&str]) -> i32 {
     let mut spec_path: Option<String> = None;
     let mut store: Option<String> = None;
-    let mut procs = ipv6web_par::process_count();
+    let mut procs = 1;
     let mut metrics: Option<String> = None;
     let mut it = args.iter();
     while let Some(a) = it.next() {

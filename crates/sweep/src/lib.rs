@@ -5,7 +5,8 @@
 //! adoption-timeline variants, and fault plans over one base scenario,
 //! expands deterministically ([`SweepSpec::expand`]), and runs each cell
 //! in its own worker OS process — the process tier above
-//! `IPV6WEB_THREADS` ([`ipv6web_par::process_count`]). The orchestrator
+//! `IPV6WEB_THREADS` (`--procs`, each process running on its
+//! [`ipv6web_par::process_share`] of the threads). The orchestrator
 //! ([`run_sweep`]) supervises the fleet: wall-clock timeouts, heartbeat
 //! stall detection, capped-exponential-backoff retries, and
 //! quarantine-as-poison after repeated failure, so one pathological

@@ -719,10 +719,7 @@ mod tests {
     /// FNV-1a 64 of the topology's JSON form.
     fn digest(t: &Topology) -> String {
         let json = serde_json::to_string(t).expect("topology serializes");
-        let h = json.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
-            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
-        });
-        format!("{h:016x}")
+        format!("{:016x}", ipv6web_stats::fnv1a64(json.as_bytes()))
     }
 
     #[test]

@@ -60,9 +60,7 @@ fn internet_scale_topology_matches_ipv6_structural_targets() {
     // the generator's golden digest at full magnitude (FNV-1a 64 of the
     // JSON form; the smaller configs are pinned in the topology crate)
     let json = serde_json::to_string(&topo).expect("topology serializes");
-    let digest = json.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
-        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
-    });
+    let digest = ipv6web::stats::fnv1a64(json.as_bytes());
     assert_eq!(format!("{digest:016x}"), "900b89787d626fd4", "internet_scale() at seed 42");
     let s = stats::measure(&topo);
     assert_eq!(s.n_ases, 37_000, "2011 Internet magnitude");
