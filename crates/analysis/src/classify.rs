@@ -224,7 +224,6 @@ pub(crate) mod tests {
         };
         let mut ccfg = CampaignConfig::test_small();
         ccfg.total_weeks = 26;
-        ccfg.workers = 8;
         let db = run_campaign(&ctx, &vantage, &list, &[], |_| 0, &ccfg).expect("valid config");
         Campaign { topo, sites, db, table_v4, table_v6 }
     }

@@ -26,7 +26,6 @@ fn tiny(seed: u64) -> Scenario {
     s.fig1_from_week = 2;
     s.route_change = Some((7, 0.03, 0.01));
     s.analysis.min_paired_samples = 5;
-    s.campaign.workers = 8;
     s
 }
 

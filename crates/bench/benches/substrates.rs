@@ -174,31 +174,23 @@ fn bench_rng(c: &mut Criterion) {
 fn bench_round(c: &mut Criterion) {
     let mut g = c.benchmark_group("round");
     g.sample_size(10);
-    // `_pool2` runs the same round on a two-worker pool, each worker running
-    // the one-worker loop on its half of the sites; no study benchmark
-    // workload runs a round wider than one worker
-    for (name, scenario, widths) in [
-        ("round_internet_smoke", Scenario::internet_smoke(42), &[1, 2][..]),
-        ("round_panel", Scenario::panel(42), &[1][..]),
+    for (name, scenario) in [
+        ("round_internet_smoke", Scenario::internet_smoke(42)),
+        ("round_panel", Scenario::panel(42)),
     ] {
         let world = World::build(&scenario);
         let vantage = &world.vantages[0];
         let ctx = world.probe_ctx(0, None);
         let first_seen = |id: u32| world.sites[id as usize].first_seen_week;
-        for &workers in widths {
-            let cfg = CampaignConfig {
-                total_weeks: vantage.start_week + 1,
-                workers,
-                ..scenario.campaign
-            };
-            let round =
-                || run_campaign(&ctx, vantage, &world.list, &world.tail_ids, first_seen, &cfg);
-            let name =
-                if workers == 1 { name.to_string() } else { format!("{name}_pool{workers}") };
-            g.bench_function(&name, |b| {
-                b.iter(|| black_box(ipv6web_par::with_allowance(workers, round).unwrap()))
-            });
-        }
+        let cfg = CampaignConfig { total_weeks: vantage.start_week + 1, ..scenario.campaign };
+        g.bench_function(name, |b| {
+            b.iter(|| {
+                black_box(
+                    run_campaign(&ctx, vantage, &world.list, &world.tail_ids, first_seen, &cfg)
+                        .unwrap(),
+                )
+            })
+        });
     }
     g.finish();
 }

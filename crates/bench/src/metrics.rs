@@ -31,8 +31,7 @@ pub struct DerivedMetrics {
     /// Epoch-rebuild reuse: routes kept / (kept + recomputed); 0 when the
     /// scenario schedules no route change.
     pub epoch_reuse_rate: f64,
-    /// Peak concurrent workers observed anywhere (route fan-out or the
-    /// monitor's probe pool).
+    /// Peak fan-out width observed anywhere: the `par.peak_threads` gauge.
     pub peak_workers: u64,
 }
 
@@ -79,7 +78,7 @@ impl BenchReport {
             routes_per_sec: per_sec(snap.counter("bgp.routes_computed")),
             dns_cache_hit_rate: rate("dns.cache_hits", "dns.cache_misses"),
             epoch_reuse_rate: rate("bgp.epoch.reused", "bgp.epoch.recomputed"),
-            peak_workers: snap.gauge("monitor.peak_workers").max(snap.gauge("par.peak_threads")),
+            peak_workers: snap.gauge("par.peak_threads"),
         };
         BenchReport {
             schema: BENCH_SCHEMA.to_string(),
@@ -258,7 +257,6 @@ mod tests {
         snap.counters.insert("bgp.routes_computed".into(), 500);
         snap.counters.insert("dns.cache_hits".into(), 75);
         snap.counters.insert("dns.cache_misses".into(), 25);
-        snap.gauges.insert("monitor.peak_workers".into(), 8);
         snap.gauges.insert("par.peak_threads".into(), 4);
         let timings = Timings {
             phases: vec![SpanRecord { name: "world: topology".into(), depth: 0, seconds: 0.1 }],
@@ -273,7 +271,7 @@ mod tests {
         assert!((r.derived.routes_per_sec - 50.0).abs() < 1e-9);
         assert!((r.derived.dns_cache_hit_rate - 0.75).abs() < 1e-9);
         assert_eq!(r.derived.epoch_reuse_rate, 0.0, "no epoch counters → 0");
-        assert_eq!(r.derived.peak_workers, 8, "max over both worker gauges");
+        assert_eq!(r.derived.peak_workers, 4, "the par.peak_threads gauge");
     }
 
     #[test]

@@ -81,8 +81,8 @@ pub struct StudyResult {
 
 /// The study's one schedule: campaigns, IPv6-day rounds and analyses fan
 /// out over the vantage points via `ipv6web_par`, under the global
-/// `IPV6WEB_THREADS` budget (each campaign's probe pool borrows its share,
-/// so the two-level fan-out never oversubscribes). At `IPV6WEB_THREADS=1`
+/// `IPV6WEB_THREADS` budget, and each campaign probes its rounds on the
+/// thread its vantage point was handed. At `IPV6WEB_THREADS=1`
 /// the same closures run inline in vantage order. Reports never depend on
 /// the schedule: every probe derives its randomness from
 /// `(seed, vantage, week, site)`.

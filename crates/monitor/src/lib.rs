@@ -14,11 +14,11 @@
 //!    is within 10% of the mean (or a cap is hit). The accepted mean speed
 //!    becomes that round's sample.
 //!
-//! Rounds are executed by a pool of up to 25 worker threads (the paper's
-//! concurrency bound) on `ipv6web_par`'s fan-out engine; site order is
+//! Each round runs on one thread (the paper's tool used up to 25 because
+//! its probes waited on real networks; see [`round`]); site order is
 //! randomized per round to avoid time-of-day bias; every stochastic draw
-//! derives from `(seed, vantage, week, site)` so the parallel execution is
-//! deterministic regardless of scheduling.
+//! derives from `(seed, vantage, week, site)`, so a study's fan-out over
+//! vantage points is deterministic regardless of scheduling.
 //!
 //! [`disturbance`] injects the real-world messiness of Section 5.1:
 //! step changes (equipment upgrades, path changes) and steady drifts, which

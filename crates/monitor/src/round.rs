@@ -1,18 +1,17 @@
-//! Campaign execution: weekly rounds over a worker pool.
+//! Campaign execution: weekly rounds, each on one thread.
 //!
 //! Mirrors the tool's structure from Fig 2: each round refreshes the
 //! ranked list (new sites join the monitored set permanently), randomizes
-//! the site order, and splits the sites into one contiguous part per worker
-//! thread of the pool ([`ipv6web_par::fan_out`]). Every worker, the lone
-//! one of a one-worker round included, runs the same loop with its own
-//! resolver: it walks the shuffled order, probes the sites of its part and
-//! loads the lines of the sites coming up before their probes start.
-//! The worker count is validated against [`CampaignConfig::max_workers`]
-//! up front — an out-of-range configuration is a typed [`ConfigError`],
-//! not a panic or a silent clamp. Every probe derives its randomness from
-//! `(seed, vantage, week, site)`, so results are independent of thread
-//! scheduling — the parallel run and a serial run produce the same
-//! database.
+//! the site order, and probes the sites in that order. The paper's tool
+//! spread a round over up to 25 threads because its probes waited on real
+//! networks. Here a probe is a CPU-bound function of
+//! `(seed, vantage, week, site)`, so a round runs one loop on the calling
+//! thread with its own resolver, loading the lines of the sites coming up
+//! before their probes start; a study's threads go to its vantage points
+//! instead. The configured thread count ([`CampaignConfig::workers`]) is
+//! still validated against [`CampaignConfig::max_workers`] up front — an
+//! out-of-range configuration is a typed [`ConfigError`], not a panic or a
+//! silent clamp — but it never changes a result or the schedule.
 //!
 //! A probe that panics is a bug: the panic reaches the caller and the
 //! round keeps nothing. Injected faults are outcomes, not panics; an
@@ -27,7 +26,7 @@ use crate::probe::{probe_site, ProbeContext, ProbeOutcome};
 use crate::vantage::VantagePoint;
 use ipv6web_alexa::{MonitoredSet, TopList};
 use ipv6web_dns::Resolver;
-use ipv6web_par::{prefetch, worker_share};
+use ipv6web_par::prefetch;
 use ipv6web_stats::{fnv1a64, RngLabel};
 use ipv6web_web::SiteId;
 use rand::seq::SliceRandom;
@@ -40,9 +39,12 @@ pub struct CampaignConfig {
     /// Campaign length, weeks (one round per week, as the paper's
     /// "approximately bi-weekly to weekly" cadence).
     pub total_weeks: u32,
-    /// Worker threads. Must be in `1..=max_workers`; see [`Self::validate`].
+    /// The paper tool's monitoring thread count (Fig 2). Must be in
+    /// `1..=max_workers` ([`Self::validate`]). It is part of the scenario
+    /// and its hash, but it never changes a result or the schedule: every
+    /// round runs on one thread.
     pub workers: usize,
-    /// Hard cap on worker threads (the paper's tool ran "no more than 25"
+    /// Hard cap on `workers` (the paper's tool ran "no more than 25"
     /// parallel monitoring threads).
     pub max_workers: usize,
     /// Number of World IPv6 Day rounds (paper: every 30 min for a day).
@@ -82,13 +84,13 @@ impl CampaignConfig {
 /// A campaign configuration the tool refuses to run.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ConfigError {
-    /// `workers == 0`: the pool would never probe anything.
+    /// `workers == 0`: a tool with no monitoring thread.
     ZeroWorkers,
-    /// `max_workers == 0`: the cap admits no pool at all.
+    /// `max_workers == 0`: the cap admits no thread at all.
     ZeroWorkerCap,
-    /// The requested pool exceeds the tool's hard thread cap.
+    /// The requested thread count exceeds the tool's hard cap.
     WorkersExceedCap {
-        /// Requested worker threads.
+        /// Requested monitoring threads.
         workers: usize,
         /// The configured cap.
         max_workers: usize,
@@ -326,7 +328,7 @@ fn round_order(seed: u64, vantage: &str, week: u32, n: usize) -> Vec<u32> {
 }
 
 /// How many positions of the round's order ahead of the running probe a
-/// worker loads a `Site`, and the name, zone entry and outcome slot it
+/// round loads a `Site`, and the name, zone entry and outcome slot it
 /// leads to. One probe outlasts a memory miss: on `internet-smoke` the
 /// traced median is ~0.9 µs for a v4-only probe and ~5 µs for a measured
 /// one. Distances of 16 and 8 measured no better, though before resolver
@@ -334,76 +336,46 @@ fn round_order(seed: u64, vantage: &str, week: u32, n: usize) -> Vec<u32> {
 const SITE_AHEAD: usize = 2;
 const NAME_AHEAD: usize = 1;
 
-/// Probes `sites[order[0]], sites[order[1]], …` over the worker pool and
-/// returns each outcome at its site's position in `sites`, so callers never
-/// observe completion order. Every slot is `Some`: `order` is a
-/// permutation of `0..sites.len()`, and a panicking probe panics the
-/// caller. `workers` must already be validated
-/// ([`CampaignConfig::validate`]).
-fn run_pool(
+/// Probes `sites[order[0]], sites[order[1]], …` in turn on the calling
+/// thread with one resolver, and returns each outcome at its site's
+/// position in `sites`, so callers never observe the probe order. Every
+/// slot is `Some`: `order` is a permutation of `0..sites.len()`, and a
+/// panicking probe panics the caller.
+fn run_round(
     ctx: &ProbeContext<'_>,
     sites: &[SiteId],
     order: &[u32],
     week: u32,
     salt: u32,
     ipv6_day_mode: bool,
-    workers: usize,
 ) -> Vec<Option<ProbeOutcome>> {
-    // Two-level budget: the configured pool width is additionally clamped
-    // to this thread's share of the global IPV6WEB_THREADS budget, so a
-    // vantage-parallel study (campaign fan-out × per-round pool) never
-    // oversubscribes the machine. On a share of 1 the round runs inline —
-    // no spawns — which is also the fast path on small hosts.
-    let n = sites.len();
-    let workers = workers.min(n.max(1)).min(ipv6web_par::allowance());
     ipv6web_obs::inc("monitor.rounds");
-    ipv6web_obs::gauge_max("monitor.peak_workers", workers as u64);
-    // Worker `w` owns the `w`-th of `workers` contiguous parts of the
-    // outcome slots. `workers <= n` leaves no part of a non-empty round
-    // empty, so `monitor.peak_workers` counts only workers that probe.
-    let mut out = vec![None; n];
-    let mut rest = &mut out[..];
-    let parts = (0..workers).map(|w| {
-        let start = n - rest.len();
-        let (part, tail) = std::mem::take(&mut rest).split_at_mut(worker_share(n, workers, w));
-        rest = tail;
-        (start, part)
-    });
-    ipv6web_par::fan_out(workers, parts, |(start, part)| {
-        // Each worker keeps its own caching resolver, like each of the
-        // paper's monitoring threads resolving independently, and probes
-        // its own sites in the round's order.
-        let mut resolver = resolver_for(ctx);
-        let mine = start..start + part.len();
-        for (i, &k) in order.iter().enumerate() {
-            let k = k as usize;
-            if !mine.contains(&k) {
-                continue;
+    // Each round keeps its own caching resolver, like each of the paper's
+    // monitoring threads resolving independently.
+    let mut resolver = resolver_for(ctx);
+    let mut out = vec![None; sites.len()];
+    for (i, &k) in order.iter().enumerate() {
+        // The shuffled order reaches each site's lines cold once a round
+        // outgrows the cache: start loading the `Site` two positions ahead,
+        // and the next position's name, zone entry and outcome slot (its
+        // `Site` arrived a probe ago), while this probe runs.
+        if let Some(&next) = order.get(i + SITE_AHEAD) {
+            if let Some(site) = ctx.sites.get(sites[next as usize].index()) {
+                prefetch(site);
             }
-            // The shuffled order reaches each site's lines cold once a
-            // round outgrows the cache: start loading the `Site` two
-            // positions ahead, and the next position's name, zone entry
-            // and outcome slot (its `Site` arrived a probe ago), while this
-            // probe runs. In a wider pool these may be another worker's,
-            // which costs a wasted hint and changes no result.
-            if let Some(&next) = order.get(i + SITE_AHEAD) {
-                if let Some(site) = ctx.sites.get(sites[next as usize].index()) {
-                    prefetch(site);
-                }
-            }
-            if let Some(&next) = order.get(i + NAME_AHEAD) {
-                let next = next as usize;
-                if let Some(site) = ctx.sites.get(sites[next].index()) {
-                    ctx.zone.prefetch(site.name);
-                }
-                if let Some(slot) = next.checked_sub(start).and_then(|j| part.get(j)) {
-                    prefetch(slot);
-                }
-            }
-            part[k - start] =
-                Some(probe_site(ctx, &mut resolver, sites[k], week, salt, ipv6_day_mode));
         }
-    });
+        if let Some(&next) = order.get(i + NAME_AHEAD) {
+            let next = next as usize;
+            if let Some(site) = ctx.sites.get(sites[next].index()) {
+                ctx.zone.prefetch(site.name);
+            }
+            if let Some(slot) = out.get(next) {
+                prefetch(slot);
+            }
+        }
+        let k = k as usize;
+        out[k] = Some(probe_site(ctx, &mut resolver, sites[k], week, salt, ipv6_day_mode));
+    }
     out
 }
 
@@ -519,7 +491,6 @@ pub fn run_campaign_resumable(
     checkpoint_dir: Option<&Path>,
 ) -> Result<MonitorDb, CampaignError> {
     cfg.validate()?;
-    let workers = cfg.workers;
     let mut db = resume.unwrap_or_else(|| MonitorDb::new(vantage.name.clone()));
     let resume_from = db.completed_weeks.max(vantage.start_week);
     let mut monitored = MonitoredSet::new();
@@ -550,9 +521,9 @@ pub fn run_campaign_resumable(
         // probed in a fresh random order, applied in ascending site order
         let members: Vec<SiteId> = monitored.members().map(SiteId).collect();
         let order = round_order(ctx.seed, &vantage.name, week, members.len());
-        let results = run_pool(ctx, &members, &order, week, 0, false, workers);
+        let results = run_round(ctx, &members, &order, week, 0, false);
         for (&site, outcome) in members.iter().zip(results) {
-            let outcome = outcome.expect("run_pool probes every site");
+            let outcome = outcome.expect("run_round probes every site");
             let added = monitored.added_week(site.0).unwrap_or(week);
             apply_outcome(&mut db, site, added, week, outcome);
         }
@@ -578,9 +549,9 @@ pub fn run_ipv6_day_rounds(
     let n = u32::try_from(participants.len()).expect("u32 site ids bound the participants");
     let order: Vec<u32> = (0..n).collect();
     for round in 0..cfg.ipv6_day_rounds {
-        let results = run_pool(ctx, participants, &order, event_week, round + 1, true, cfg.workers);
+        let results = run_round(ctx, participants, &order, event_week, round + 1, true);
         for (&site, outcome) in participants.iter().zip(results) {
-            let outcome = outcome.expect("run_pool probes every site");
+            let outcome = outcome.expect("run_round probes every site");
             apply_outcome(&mut db, site, event_week, event_week, outcome);
         }
     }
@@ -744,11 +715,11 @@ mod tests {
         }
     }
 
-    /// Every pool width must return what probing `sites[order[k]]` in turn
-    /// with one resolver returns, rounds too short to look ahead in or to
-    /// share out included, and rounds whose parts differ in length.
+    /// A round returns what probing `sites[order[k]]` in turn with one
+    /// resolver returns, weekly rounds and IPv6-day rounds alike, rounds
+    /// too short to look ahead in included.
     #[test]
-    fn round_matches_plain_probe_loop_at_every_width() {
+    fn round_matches_plain_probe_loop() {
         let w = world(600);
         let base = ctx(&w);
         let plan = FaultPlan::demo(20);
@@ -763,46 +734,22 @@ mod tests {
                 if n > 3 {
                     assert!(order.windows(2).any(|p| p[0] > p[1]), "order is shuffled");
                 }
-                let mut resolver = resolver_for(&c);
-                let mut want = vec![None; n];
-                for &k in &order {
-                    let k = k as usize;
-                    want[k] = Some(probe_site(&c, &mut resolver, sites[k], week, 0, false));
-                }
-                for workers in [1, 2, 3, 4] {
-                    let got = ipv6web_par::with_allowance(4, || {
-                        run_pool(&c, &sites, &order, week, 0, false, workers)
-                    });
+                for (salt, day) in [(0, false), (3, true)] {
+                    let mut resolver = resolver_for(&c);
+                    let mut want = vec![None; n];
+                    for &k in &order {
+                        let k = k as usize;
+                        want[k] = Some(probe_site(&c, &mut resolver, sites[k], week, salt, day));
+                    }
+                    let got = run_round(&c, &sites, &order, week, salt, day);
                     assert_eq!(got.len(), n);
                     for (pos, (g, w)) in got.iter().zip(&want).enumerate() {
                         let faults = c.faults.is_some();
-                        assert_eq!(
-                            g, w,
-                            "n = {n}, workers = {workers}, position {pos}, faults {faults}"
-                        );
+                        assert_eq!(g, w, "n = {n}, salt {salt}, position {pos}, faults {faults}");
                     }
                 }
             }
         }
-    }
-
-    #[test]
-    fn campaign_deterministic_across_worker_counts() {
-        let w = world(120);
-        let c = ctx(&w);
-        let mut cfg1 = CampaignConfig::test_small();
-        cfg1.total_weeks = 6;
-        cfg1.workers = 1;
-        let mut cfg8 = cfg1;
-        cfg8.workers = 8;
-        let db1 = run_campaign(&c, &w.vantage, &w.list, &[], |_| 0, &cfg1).unwrap();
-        // the pool is capped at the thread's allowance, which is 1 under
-        // IPV6WEB_THREADS=1 or on a one-CPU host; grant 8 so the pool
-        // really runs 8 workers there too
-        let db8 = ipv6web_par::with_allowance(8, || {
-            run_campaign(&c, &w.vantage, &w.list, &[], |_| 0, &cfg8).unwrap()
-        });
-        assert_eq!(db1, db8, "scheduling must not affect results");
     }
 
     #[test]

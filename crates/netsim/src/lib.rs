@@ -11,10 +11,11 @@
 //! * [`tcp`] computes the page download time with connection setup, slow
 //!   start, and a PFTK-style steady-state cap (the standard
 //!   Padhye–Firoiu–Towsley–Kurose throughput formula);
-//! * [`traceroute`] runs a packet-faithful traceroute over the same path
-//!   (hop-limit countdown, ICMP Time Exceeded built with `ipv6web-packet`),
-//!   reproducing the paper's observation that over 50% of traceroutes fail
-//!   to complete — the reason it used BGP tables instead (Section 3).
+//! * [`traceroute`](mod@traceroute) runs a packet-faithful traceroute over
+//!   the same path (hop-limit countdown, ICMP Time Exceeded built with
+//!   `ipv6web-packet`), reproducing the paper's observation that over 50% of
+//!   traceroutes fail to complete — the reason it used BGP tables instead
+//!   (Section 3).
 //!
 //! Hypothesis H1 lives here: with every AS's `forwarding_factor` at 1.0 the
 //! IPv6 and IPv4 data planes are indistinguishable, and any measured

@@ -17,10 +17,10 @@
 //!
 //! Counters, gauges, and histograms collect into per-thread shards that
 //! merge under associative, commutative operators at fork/join points
-//! ([`flush_thread`], called by `ipv6web-par` and the monitor's worker
-//! pool, plus a `Drop` safety net at thread exit). Because the study's
-//! work decomposition is itself deterministic, the merged values are
-//! bit-identical whatever `IPV6WEB_THREADS` says. Wall-clock span timings
+//! ([`flush_thread`], called by `ipv6web-par`'s workers, plus a `Drop`
+//! safety net at thread exit). Because the study's work decomposition is
+//! itself deterministic, the merged values are bit-identical whatever
+//! `IPV6WEB_THREADS` says. Wall-clock span timings
 //! are the one intentionally non-deterministic output and are kept apart
 //! from the bit-comparable `Report` for exactly that reason.
 //!

@@ -6,31 +6,32 @@
 //! input position, so `par_map(xs, f)` is bit-identical to
 //! `xs.iter().map(f).collect()` whenever `f` itself is deterministic.
 //!
-//! Every in-process fan-out runs on one engine, [`fan_out`]: `par_map`,
-//! and the monitor's probe pool, which hands each worker one contiguous
-//! part of a round. It spawns the workers, hands out items, splits the
-//! thread budget and merges obs shards in one place.
+//! Every in-process fan-out is a `par_map`: the study's fan-out over
+//! vantage points and the route engine's fan-out over destinations. It
+//! spawns the workers, hands out items, splits the thread budget and merges
+//! obs shards in one place.
 //!
 //! Thread count comes from the `IPV6WEB_THREADS` environment variable when
 //! set (a value of `1` forces the sequential path, used by the determinism
 //! tests), else from `std::thread::available_parallelism`.
 //!
-//! A worker whose next items are known in advance, like every worker of
-//! the probe pool walking its round's shuffled order, can start loading
-//! them early with [`prefetch`].
+//! A loop whose next items are known in advance, like a probe round
+//! walking its shuffled order, can start loading them early with
+//! [`prefetch`].
 //!
 //! # The two-level worker budget
 //!
 //! `IPV6WEB_THREADS` is a *global* cap, not a per-fan-out width. Nested
-//! parallelism — the study driver fanning campaigns out over vantage
-//! points while each campaign runs its own probe pool — must not multiply
-//! into `vantages × workers` threads. Every thread therefore carries an
-//! [`allowance`]: its share of the global budget. A fresh thread's
-//! allowance is the full budget ([`thread_count`]); a fan-out clamps its
-//! width to the caller's allowance and splits it among its workers (worker
-//! `w` of `W` gets `⌊B/W⌋` plus one of the `B mod W` remainders), so any
-//! nested fan-out borrows from the same global budget instead of
-//! oversubscribing. The sum of live leaf workers never exceeds the budget.
+//! parallelism — the daemon running several studies at once while each
+//! study fans its campaigns out over vantage points, or a `par_map` inside
+//! another — must not multiply into `outer × inner` threads. Every thread
+//! therefore carries an [`allowance`]: its share of the global budget. A
+//! fresh thread's allowance is the full budget ([`thread_count`]); a
+//! fan-out clamps its width to the caller's allowance and splits it among
+//! its workers (worker `w` of `W` gets `⌊B/W⌋` plus one of the `B mod W`
+//! remainders), so any nested fan-out borrows from the same global budget
+//! instead of oversubscribing. The sum of live leaf workers never exceeds
+//! the budget.
 
 use std::cell::Cell;
 use std::sync::Mutex;
@@ -71,7 +72,7 @@ thread_local! {
 
 /// This thread's share of the global worker budget: the worker count any
 /// fan-out started here may use. [`thread_count`] for a thread that was
-/// not spawned by [`fan_out`]; the assigned share inside a `fan_out`
+/// not spawned by [`par_map`]; the assigned share inside a `par_map`
 /// worker. Fan-outs clamp their width to it so nested parallelism stays
 /// within `IPV6WEB_THREADS` in total.
 pub fn allowance() -> usize {
@@ -88,7 +89,7 @@ pub fn allowance() -> usize {
 /// workers taking one extra. Shares sum exactly to `budget` and every
 /// share is ≥ 1 whenever `workers ≤ budget`. Public so long-lived worker
 /// pools outside this crate (the daemon's job executor) can split the
-/// global budget with the same arithmetic [`fan_out`] uses.
+/// global budget with the same arithmetic [`par_map`] uses.
 pub fn worker_share(budget: usize, workers: usize, w: usize) -> usize {
     budget / workers + usize::from(w < budget % workers)
 }
@@ -96,7 +97,7 @@ pub fn worker_share(budget: usize, workers: usize, w: usize) -> usize {
 /// Runs `f` with this thread's allowance pinned to `allowance` (clamped to
 /// ≥ 1), restoring the previous allowance afterwards — even on panic.
 ///
-/// This is how a worker pool that was *not* spawned by [`fan_out`] (e.g. a
+/// This is how a worker pool that was *not* spawned by [`par_map`] (e.g. a
 /// daemon executor running several studies concurrently) hands each worker
 /// its share of the global budget: every fan-out `f` performs then borrows
 /// from that share instead of the full `IPV6WEB_THREADS` budget, so
@@ -118,70 +119,52 @@ pub fn with_allowance<R>(allowance: usize, f: impl FnOnce() -> R) -> R {
 /// input order. `f` receives the item index alongside the item so callers
 /// can seed per-item state deterministically.
 ///
-/// The fan-out width is this thread's [`allowance`], which the spawned
-/// workers inherit in shares — see the module docs on the two-level
-/// budget. A panic in `f` reaches the caller, as [`fan_out`] describes.
+/// The width is this thread's [`allowance`], clamped to the item count. At
+/// width 1 the items run inline on the calling thread, which keeps its full
+/// allowance, so a lone item's nested fan-outs may still use the whole
+/// budget. Otherwise `width` scoped workers start; worker `w` runs with
+/// [`worker_share`]`(allowance(), width, w)` as its own allowance (see the
+/// module docs on the two-level budget) and takes items one at a time from
+/// one shared queue, each with the output slot it fills. The output is in
+/// input order whatever the schedule, and every worker merges its obs
+/// shard before it exits, so neither results nor counter totals depend on
+/// the width when `f` is deterministic.
+///
+/// # Panics
+/// A panic in `f` is a bug, not a partial result: once every worker has
+/// stopped, the first worker's panic resumes in the caller with its
+/// original payload.
 pub fn par_map<T, U, F>(items: &[T], f: F) -> Vec<U>
 where
     T: Sync,
     U: Send,
     F: Fn(usize, &T) -> U + Sync,
 {
-    let workers = allowance().min(items.len().max(1));
+    let budget = allowance();
+    let width = budget.min(items.len().max(1));
     // Counters fire on both the serial and parallel paths so totals do not
     // depend on IPV6WEB_THREADS; only the gauge reflects the configuration.
-    ipv6web_obs::gauge_max("par.peak_threads", workers as u64);
+    ipv6web_obs::gauge_max("par.peak_threads", width as u64);
     ipv6web_obs::add("par.fanouts", 1);
     ipv6web_obs::add("par.items", items.len() as u64);
-    fan_out(workers, items.iter().enumerate(), |(i, x)| f(i, x))
-}
-
-/// The fan-out engine behind [`par_map`] and the monitor's probe pool:
-/// `items.map(f).collect()` over up to `width` workers.
-///
-/// The width is clamped to the item count. At width 1 the items run inline
-/// on the calling thread, which keeps its full allowance, so a lone item's
-/// nested fan-outs may still use the whole budget. Otherwise `width` scoped
-/// workers start; worker `w` runs with
-/// [`worker_share`]`(allowance(), width, w)` as its own allowance and takes
-/// items one at a time from one shared queue, each with the output slot it
-/// fills. The output is in item order whatever the schedule, so it never
-/// depends on the width when `f` is deterministic. Every worker merges its
-/// obs shard before it exits, so counter totals do not depend on the width
-/// either.
-///
-/// # Panics
-/// A panic in `f` is a bug, not a partial result: once every worker has
-/// stopped, the first worker's panic resumes in the caller with its
-/// original payload.
-pub fn fan_out<T, U>(
-    width: usize,
-    items: impl ExactSizeIterator<Item = T> + Send,
-    f: impl Fn(T) -> U + Sync,
-) -> Vec<U>
-where
-    T: Send,
-    U: Send,
-{
-    let width = width.min(items.len());
-    if width <= 1 {
-        return items.map(f).collect();
+    if width == 1 {
+        return items.iter().enumerate().map(|(i, x)| f(i, x)).collect();
     }
-    let budget = allowance();
     let mut out: Vec<Option<U>> = (0..items.len()).map(|_| None).collect();
-    let queue = Mutex::new(items.zip(out.iter_mut()));
+    let queue = Mutex::new(items.iter().enumerate().zip(out.iter_mut()));
     let panic = std::thread::scope(|scope| {
         let (queue, f) = (&queue, &f);
         let workers: Vec<_> = (0..width)
             .map(|w| {
-                let share = worker_share(budget, width, w).max(1);
+                let share = worker_share(budget, width, w);
                 scope.spawn(move || {
                     ALLOWANCE.with(|c| c.set(share));
-                    // The guard drops before `f` runs. A poisoned queue
-                    // means another worker panicked inside the items
-                    // iterator, and that panic is the one the caller sees.
-                    while let Some((item, slot)) = queue.lock().ok().and_then(|mut q| q.next()) {
-                        *slot = Some(f(item));
+                    // The guard drops before `f` runs. Taking a slice's
+                    // next item cannot panic, so no worker poisons the lock.
+                    while let Some(((i, x), slot)) =
+                        queue.lock().map(|mut q| q.next()).expect("the queue is never poisoned")
+                    {
+                        *slot = Some(f(i, x));
                     }
                     ipv6web_obs::flush_thread();
                 })
@@ -258,19 +241,6 @@ mod tests {
     }
 
     #[test]
-    fn fan_out_hands_each_owned_item_to_one_call() {
-        for width in [1, 4] {
-            let mut calls = vec![0u32; 500];
-            let out = fan_out(width, calls.iter_mut().enumerate(), |(k, calls)| {
-                *calls += 1;
-                k * 3
-            });
-            assert_eq!(out, (0..500).map(|k| k * 3).collect::<Vec<_>>(), "width {width}");
-            assert!(calls.iter().all(|&c| c == 1), "width {width}: {calls:?}");
-        }
-    }
-
-    #[test]
     fn a_panicking_item_reaches_the_caller() {
         let items: Vec<u32> = (0..64).collect();
         let payload = |r: std::thread::Result<Vec<u32>>| {
@@ -284,13 +254,6 @@ mod tests {
             });
             assert_eq!(payload(r), "item 37", "width {width}");
         }
-        // the same from inside the items iterator, which runs under the
-        // queue lock
-        let r = std::panic::catch_unwind(|| {
-            let items = items.iter().map(|&x| if x == 37 { panic!("item 37") } else { x });
-            fan_out(4, items, |x| x)
-        });
-        assert_eq!(payload(r), "item 37");
     }
 
     #[test]
@@ -406,16 +369,19 @@ mod tests {
     }
 
     #[test]
-    fn inline_fan_out_keeps_the_allowance_and_workers_get_shares() {
+    fn inline_par_map_keeps_the_allowance_and_workers_get_shares() {
         with_allowance(5, || {
-            // width 1, or one item at any width, runs inline on the caller
-            assert_eq!(fan_out(1, 0..3, |_| allowance()), vec![5; 3]);
-            assert_eq!(fan_out(4, 0..1, |_| allowance()), vec![5]);
-            // budget 5 over 2 workers: shares are {3, 2}; whatever item
-            // lands on whatever worker, it sees one of them
-            for a in fan_out(2, 0..64, |_| allowance()) {
-                assert!(a == 2 || a == 3, "allowance {a} is not a share of 5/2");
-            }
+            // one item runs inline on the caller
+            assert_eq!(par_map(&[0], |_, _| allowance()), vec![5]);
+            // budget 5 over two items: two workers with shares {3, 2}; the
+            // barrier holds each worker to one item
+            let both = std::sync::Barrier::new(2);
+            let mut shares = par_map(&[0; 2], |_, _| {
+                both.wait();
+                allowance()
+            });
+            shares.sort_unstable();
+            assert_eq!(shares, vec![2, 3]);
             assert_eq!(allowance(), 5, "the caller's allowance survives the fan-out");
         });
     }

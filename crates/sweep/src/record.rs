@@ -34,17 +34,22 @@ pub enum StudyStatus {
 /// scenario, so metrics are deterministic per case.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct StudyMetrics {
-    /// H1 (v6 control-plane parity) verdict.
+    /// H1 verdict: the IPv6 data plane performs on par with IPv4, judged
+    /// on SP destination ASes, where both families take the same AS path.
     pub h1_holds: bool,
-    /// H2 (v6 data-plane quality) verdict.
+    /// H2 verdict: differences in routing (DP destination ASes, whose v4
+    /// and v6 AS paths differ) are a major cause of poorer IPv6
+    /// performance.
     pub h2_holds: bool,
-    /// Worst per-vantage H1 explained share.
+    /// Lowest per-vantage H1 share: SP destination ASes without a
+    /// network-attributable IPv6 deficit.
     pub h1_min_share: f64,
-    /// Worst per-vantage H2 explained share.
+    /// Lowest per-vantage H2 share: DP destination ASes whose IPv6
+    /// performance is similar to IPv4's.
     pub h2_min_share: f64,
     /// Mean over vantages of `1 − H2 share`: the fraction of DP
-    /// destination ASes whose IPv6 quality is *not* comparable-or-
-    /// explained — the "H2 loss rate" the parity tables aggregate.
+    /// destination ASes whose IPv6 performance is *not* similar to IPv4's
+    /// — the "H2 loss rate" the parity tables aggregate.
     pub h2_loss_rate: f64,
     /// Sites kept after sanitization, summed over vantages (Table 2).
     pub sites_kept: u64,

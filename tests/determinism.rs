@@ -68,8 +68,8 @@ fn assert_budgets_agree(seed: u64, budgets: &[&str]) {
 
 #[test]
 fn thread_count_does_not_change_results() {
-    // At 12 threads each of the six campaigns gets a probe pool of two
-    // workers, so pooled probing must match the inline rounds byte for byte.
+    // At 12 threads the route fan-out runs twelve wide and each of the six
+    // campaigns runs on a share of two threads; neither may change a byte.
     assert_budgets_agree(5, &["1", "12"]);
 }
 

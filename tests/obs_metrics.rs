@@ -1,6 +1,6 @@
 //! Observability invariants: metrics collection must never perturb the
 //! bit-comparable report, and collected counters must be independent of
-//! the worker/thread configuration.
+//! the thread budget.
 
 use ipv6web::obs;
 use ipv6web::{run_study, Scenario};
@@ -45,16 +45,14 @@ fn report_bytes_identical_with_metrics_on_and_off() {
 }
 
 #[test]
-fn counters_identical_across_thread_and_worker_counts() {
+fn counters_identical_across_thread_counts() {
     let _g = OBS_LOCK.lock().unwrap();
 
-    let run = |threads: &str, workers: usize| {
+    let run = |threads: &str| {
         obs::reset();
         obs::enable();
         std::env::set_var("IPV6WEB_THREADS", threads);
-        let mut s = tiny(17);
-        s.campaign.workers = workers;
-        let _study = run_study(&s).expect("valid scenario");
+        let _study = run_study(&tiny(17)).expect("valid scenario");
         std::env::remove_var("IPV6WEB_THREADS");
         obs::disable();
         obs::flush_thread();
@@ -63,8 +61,8 @@ fn counters_identical_across_thread_and_worker_counts() {
         snap
     };
 
-    let serial = run("1", 1);
-    let parallel = run("4", 8);
+    let serial = run("1");
+    let parallel = run("4");
     assert_eq!(serial.counters, parallel.counters, "counters must not depend on scheduling");
     assert_eq!(serial.histograms, parallel.histograms, "histograms must not depend on scheduling");
     // sanity: the campaign actually recorded something
@@ -74,15 +72,13 @@ fn counters_identical_across_thread_and_worker_counts() {
     // gauges are allowed to differ (they report the configuration itself)
     assert_eq!(serial.gauge("par.peak_threads"), 1);
     assert_eq!(parallel.gauge("par.peak_threads"), 4);
-    // even with 8 probe workers configured, the shared budget caps them
-    assert!(parallel.gauge("monitor.peak_workers") <= 4, "probe pool broke the thread budget");
 }
 
 #[test]
-fn nat64_counters_identical_across_thread_and_worker_counts() {
+fn nat64_counters_identical_across_thread_counts() {
     // Same scheduling-invariance contract, but for the translation-plane
     // counters: DNS64 synthesis and NAT64 path selection run inside the
-    // probe workers, so any scheduling dependence would show up here.
+    // probes, so any scheduling dependence would show up here.
     let _g = OBS_LOCK.lock().unwrap();
 
     let tiny_nat64 = |seed: u64| {
@@ -98,13 +94,11 @@ fn nat64_counters_identical_across_thread_and_worker_counts() {
         s.route_change = Some((6, 0.03, 0.01));
         s
     };
-    let run = |threads: &str, workers: usize| {
+    let run = |threads: &str| {
         obs::reset();
         obs::enable();
         std::env::set_var("IPV6WEB_THREADS", threads);
-        let mut s = tiny_nat64(31);
-        s.campaign.workers = workers;
-        let _study = run_study(&s).expect("valid scenario");
+        let _study = run_study(&tiny_nat64(31)).expect("valid scenario");
         std::env::remove_var("IPV6WEB_THREADS");
         obs::disable();
         obs::flush_thread();
@@ -113,8 +107,8 @@ fn nat64_counters_identical_across_thread_and_worker_counts() {
         snap
     };
 
-    let serial = run("1", 1);
-    let parallel = run("4", 8);
+    let serial = run("1");
+    let parallel = run("4");
     assert_eq!(serial.counters, parallel.counters, "xlat counters must not depend on scheduling");
     assert_eq!(serial.histograms, parallel.histograms, "histograms must not depend on scheduling");
     // sanity: the translation plane actually fired
@@ -137,27 +131,22 @@ fn assert_every_exchange_observed_once(snap: &obs::Snapshot) {
 
 #[test]
 fn worker_budget_is_never_exceeded() {
-    // Two-level fan-out: six campaigns race at the top, each opening a
-    // probe pool below. The peak concurrency observed at EITHER level must
-    // stay inside IPV6WEB_THREADS, regardless of how many workers the
-    // campaign config asks for.
+    // Six campaigns race under a budget of four threads: the vantage and
+    // route fan-outs must really run in parallel and never beyond
+    // IPV6WEB_THREADS.
     let _g = OBS_LOCK.lock().unwrap();
     obs::reset();
     obs::enable();
     std::env::set_var("IPV6WEB_THREADS", "4");
-    let mut s = tiny(29);
-    s.campaign.workers = 8;
-    let _study = run_study(&s).expect("valid scenario");
+    let _study = run_study(&tiny(29)).expect("valid scenario");
     std::env::remove_var("IPV6WEB_THREADS");
     obs::disable();
     obs::flush_thread();
     let snap = obs::snapshot();
     obs::reset();
-    let outer = snap.gauge("par.peak_threads");
-    let inner = snap.gauge("monitor.peak_workers");
-    assert!(outer >= 2, "vantage fan-out never actually ran in parallel");
-    assert!(outer <= 4, "par.peak_threads {outer} exceeds the budget of 4");
-    assert!(inner <= 4, "monitor.peak_workers {inner} exceeds the budget of 4");
+    let peak = snap.gauge("par.peak_threads");
+    assert!(peak >= 2, "vantage fan-out never actually ran in parallel");
+    assert!(peak <= 4, "par.peak_threads {peak} exceeds the budget of 4");
 }
 
 #[test]
