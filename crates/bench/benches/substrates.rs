@@ -114,31 +114,30 @@ fn bench_dns(c: &mut Criterion) {
         (0..1000).map(|i| insert(format!("site{i}.web.example"), i, v6)).collect();
     let v4_only: Vec<NameId> =
         (0..1000).map(|i| insert(format!("v4only{i}.web.example"), i, None)).collect();
-    let mut i = 0u64;
-    // The probe's path: a miss by interned id over rotating names (the
-    // flush keeps the cache from absorbing them).
+    let mut i = 0usize;
+    // The probe's path: a lookup by interned id over rotating names.
     let mut resolver = Resolver::new();
     c.bench_function("dns_resolve_miss", |b| {
         b.iter(|| {
             i += 1;
-            resolver.flush();
-            black_box(resolver.resolve_id(&zone, dual[i as usize % 1000], RecordType::Aaaa, 10, i))
+            black_box(resolver.resolve_id(&zone, dual[i % 1000], RecordType::Aaaa, 10))
         })
     });
-    // The path that keeps the wire codec: a DNS64 resolver's AAAA miss on a
-    // v4-only name, answered by synthesis.
+    // The path that keeps the wire codec: a DNS64 resolver's AAAA lookup on
+    // a v4-only name, answered by synthesis.
     let mut dns64 = Resolver::dns64();
     c.bench_function("dns_resolve_dns64_aaaa", |b| {
         b.iter(|| {
             i += 1;
-            dns64.flush();
-            black_box(dns64.resolve_id(&zone, v4_only[i as usize % 1000], RecordType::Aaaa, 10, i))
+            black_box(dns64.resolve_id(&zone, v4_only[i % 1000], RecordType::Aaaa, 10))
         })
     });
 }
 
-/// Deriving a probe's stream and reading from it: a probe that ends after
-/// DNS reads one `u64`, so the first-read cost is paid once per probe.
+/// Deriving a probe's stream and reading from it: a probe that reaches its
+/// downloads derives the stream and discards its first `u64`, so the
+/// first-read cost is paid once per such probe (a probe that ends before
+/// its downloads derives nothing).
 fn bench_rng(c: &mut Criterion) {
     // the probe's label shape, "{vantage}:probe:{week}:{salt}:{site}"
     let label = |site: u32| {

@@ -26,8 +26,6 @@ pub struct DerivedMetrics {
     pub probes_per_sec: f64,
     /// BGP route computations per wall-clock second.
     pub routes_per_sec: f64,
-    /// DNS cache hits / (hits + misses); 0 when the cache saw no traffic.
-    pub dns_cache_hit_rate: f64,
     /// Epoch-rebuild reuse: routes kept / (kept + recomputed); 0 when the
     /// scenario schedules no route change.
     pub epoch_reuse_rate: f64,
@@ -76,7 +74,6 @@ impl BenchReport {
         let derived = DerivedMetrics {
             probes_per_sec: per_sec(snap.counter("monitor.probes")),
             routes_per_sec: per_sec(snap.counter("bgp.routes_computed")),
-            dns_cache_hit_rate: rate("dns.cache_hits", "dns.cache_misses"),
             epoch_reuse_rate: rate("bgp.epoch.reused", "bgp.epoch.recomputed"),
             peak_workers: snap.gauge("par.peak_threads"),
         };
@@ -255,8 +252,8 @@ mod tests {
         let mut snap = Snapshot::default();
         snap.counters.insert("monitor.probes".into(), 1000);
         snap.counters.insert("bgp.routes_computed".into(), 500);
-        snap.counters.insert("dns.cache_hits".into(), 75);
-        snap.counters.insert("dns.cache_misses".into(), 25);
+        snap.counters.insert("monitor.downloads".into(), 75);
+        snap.counters.insert("dns.queries".into(), 25);
         snap.gauges.insert("par.peak_threads".into(), 4);
         let timings = Timings {
             phases: vec![SpanRecord { name: "world: topology".into(), depth: 0, seconds: 0.1 }],
@@ -269,7 +266,6 @@ mod tests {
         let r = report(10.0);
         assert!((r.derived.probes_per_sec - 100.0).abs() < 1e-9);
         assert!((r.derived.routes_per_sec - 50.0).abs() < 1e-9);
-        assert!((r.derived.dns_cache_hit_rate - 0.75).abs() < 1e-9);
         assert_eq!(r.derived.epoch_reuse_rate, 0.0, "no epoch counters → 0");
         assert_eq!(r.derived.peak_workers, 4, "the par.peak_threads gauge");
     }
@@ -347,16 +343,16 @@ mod tests {
     fn gate_fails_on_any_changed_count_and_names_it() {
         let base = report(10.0);
         let mut cur = report(10.0);
-        *cur.counters.get_mut("dns.cache_misses").unwrap() += 1;
+        *cur.counters.get_mut("dns.queries").unwrap() += 1;
         let err = check_regression(&cur, &base, DEFAULT_TOLERANCE).unwrap_err();
-        assert!(err.contains("counter dns.cache_misses: 26 vs baseline 25"), "{err}");
+        assert!(err.contains("counter dns.queries: 26 vs baseline 25"), "{err}");
         // a counter on one side only is a difference too, either way round
         let mut cur = report(10.0);
-        cur.counters.remove("dns.cache_hits");
-        cur.counters.insert("dns.queries".into(), 3);
+        cur.counters.remove("monitor.downloads");
+        cur.counters.insert("dns.nxdomain".into(), 3);
         let err = check_regression(&cur, &base, DEFAULT_TOLERANCE).unwrap_err();
-        assert!(err.contains("counter dns.cache_hits: absent vs baseline 75"), "{err}");
-        assert!(err.contains("counter dns.queries: 3 vs baseline absent"), "{err}");
+        assert!(err.contains("counter monitor.downloads: absent vs baseline 75"), "{err}");
+        assert!(err.contains("counter dns.nxdomain: 3 vs baseline absent"), "{err}");
         // and so is a histogram, even when the run is otherwise faster
         let mut cur = report(5.0);
         let mut hist = ipv6web_obs::Histogram::default();

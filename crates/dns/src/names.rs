@@ -1,12 +1,14 @@
 //! Interned DNS names.
 //!
 //! The internet-scale tier registers a million site names; storing each as
-//! its own `String` (in the zone, again in every `Site`, again in resolver
-//! caches) costs several heap allocations and ~60 bytes of overhead per
-//! copy. A [`NameTable`] stores every distinct name once in a shared byte
-//! arena and hands out dense `u32` [`NameId`]s; everything else carries the
-//! id and borrows the bytes back on demand.
+//! its own `String` (in the zone, again in every `Site`) costs several heap
+//! allocations and ~60 bytes of overhead per copy. A [`NameTable`] stores
+//! every distinct name once in a shared byte arena and hands out dense
+//! `u32` [`NameId`]s; everything else carries the id and borrows the bytes
+//! back on demand. Whether a name is in wire form is decided once, when it
+//! is interned, so a lookup by id never scans the name.
 
+use crate::wire;
 use ipv6web_stats::fnv1a64;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
@@ -30,6 +32,8 @@ pub struct NameTable {
     bytes: String,
     /// `offsets[i]..offsets[i + 1]` spans name `i`; length is `len() + 1`.
     offsets: Vec<u32>,
+    /// Whether name `i` is in wire form (`wire::wire_form_len`).
+    wire_form: Vec<bool>,
     /// FNV-1a name hash → id of the first name seen with that hash.
     /// Collisions are resolved against the arena, so the hash only has to
     /// be cheap, not perfect.
@@ -44,6 +48,7 @@ impl NameTable {
         NameTable {
             bytes: String::new(),
             offsets: vec![0],
+            wire_form: Vec::new(),
             index: HashMap::new(),
             collisions: Vec::new(),
         }
@@ -73,6 +78,7 @@ impl NameTable {
         let end = u32::try_from(end).expect("name arena exceeds u32 offset space");
         self.bytes.push_str(name);
         self.offsets.push(end);
+        self.wire_form.push(wire::wire_form_len(name).is_some());
         let h = fnv1a64(name.as_bytes());
         match self.index.entry(h) {
             std::collections::hash_map::Entry::Vacant(e) => {
@@ -92,17 +98,23 @@ impl NameTable {
         &self.bytes[self.offsets[i] as usize..self.offsets[i + 1] as usize]
     }
 
-    /// Starts loading the bytes of name `id` into the cache (see
-    /// [`ipv6web_par::prefetch`]); an unknown id is ignored. Slices the
-    /// byte arena rather than the `str`, whose char-boundary check would
-    /// read the very byte being prefetched.
-    pub fn prefetch(&self, id: NameId) {
+    /// Length in bytes of the name interned as `id`, read from its offsets
+    /// alone.
+    ///
+    /// # Panics
+    /// Panics if `id` was not produced by this table.
+    pub(crate) fn name_len(&self, id: NameId) -> usize {
         let i = id.index();
-        if let Some(&[a, b]) = self.offsets.get(i..i + 2) {
-            if let Some(bytes) = self.bytes.as_bytes().get(a as usize..b as usize) {
-                ipv6web_par::prefetch(bytes);
-            }
-        }
+        (self.offsets[i + 1] - self.offsets[i]) as usize
+    }
+
+    /// Whether the name interned as `id` is in wire form: the codec
+    /// carries it and decodes it back to the same spelling.
+    ///
+    /// # Panics
+    /// Panics if `id` was not produced by this table.
+    pub(crate) fn is_wire_form(&self, id: NameId) -> bool {
+        self.wire_form[id.index()]
     }
 
     /// Looks up the id of `name`, if interned.
@@ -133,7 +145,8 @@ impl Default for NameTable {
 
 impl PartialEq for NameTable {
     fn eq(&self, other: &Self) -> bool {
-        // the hash index is derived state; the arena is the identity
+        // the hash index and the wire-form flags are derived state; the
+        // arena is the identity
         self.bytes == other.bytes && self.offsets == other.offsets
     }
 }

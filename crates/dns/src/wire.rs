@@ -16,10 +16,11 @@
 //!
 //! A name in *wire form* (`wire_form_len`) is one the codec carries and
 //! decodes back to the same spelling, and `exchange_len` is what a query
-//! for it and the response take on the wire. The resolver answers such
-//! names without running the codec; both functions sit beside the name
-//! encoder, pinned to it by tests, so the shortcut and the codec cannot
-//! disagree.
+//! for it and the response take on the wire. The name table records each
+//! name's wire form when it interns the name, and the resolver answers
+//! such names without running the codec; both functions sit beside the
+//! name encoder, pinned to it by tests, so the shortcut and the codec
+//! cannot disagree.
 
 use crate::records::{AnswerRecord, Record, RecordData, RecordType};
 use bytes::BufMut;
@@ -619,6 +620,12 @@ mod tests {
         let legal = vec!["a"; MAX_LABELS].join(".");
         for name in ["a", "a.example", "-.0", &max, &legal] {
             assert_eq!(wire_form_len(name), Some(name.len() + 2), "{name:?}");
+        }
+        // the name table decides the same once, at interning
+        let mut names = crate::names::NameTable::new();
+        for name in ["a..b", "a.", &long, &deep, "", "a.example"] {
+            let id = names.intern(name);
+            assert_eq!(names.is_wire_form(id), wire_form_len(name).is_some(), "{name:?}");
         }
     }
 

@@ -127,11 +127,11 @@ impl ZoneDb {
         self.entries.get(id.index())?.as_ref()
     }
 
-    /// Starts loading what a lookup of `id` reads — the name's bytes and
-    /// its entry slot — into the cache (see [`ipv6web_par::prefetch`]); an
-    /// unknown id is ignored.
+    /// Starts loading the entry slot of `id`, which a lookup of `id` reads,
+    /// into the cache (see [`ipv6web_par::prefetch`]); an unknown id is
+    /// ignored. A lookup of an interned wire-form name does not read the
+    /// name's bytes.
     pub fn prefetch(&self, id: NameId) {
-        self.names.prefetch(id);
         if let Some(slot) = self.entries.get(id.index()) {
             ipv6web_par::prefetch(slot);
         }
@@ -269,7 +269,6 @@ mod tests {
         let before = db.clone();
         for id in [0, 1, 2, u32::MAX].map(NameId) {
             db.prefetch(id);
-            db.names().prefetch(id);
         }
         assert_eq!(db, before);
         assert_eq!(db.query("dual.example", RecordType::A, 0).unwrap().len(), 1);

@@ -3,16 +3,19 @@
 //! Per vantage point and per weekly round, every monitored site goes
 //! through the pipeline:
 //!
-//! 1. **DNS phase** — A and AAAA lookups through a caching resolver (wire
-//!    codec exercised end to end). Sites with only an A record update the
-//!    reachability tables and stop here.
+//! 1. **DNS phase** — A and AAAA lookups through a stub resolver that
+//!    keeps no cache (the wire codec runs wherever it can change an
+//!    answer). Sites with only an A record update the reachability tables
+//!    and stop here.
 //! 2. **Accessibility phase** — one main-page download over each family;
 //!    byte counts compared with the 6% identity rule. Different content →
 //!    recorded and stopped.
 //! 3. **Performance phase** — repeated downloads per family, each after
-//!    cache resets, until the 95% confidence interval of the download time
-//!    is within 10% of the mean (or a cap is hit). The accepted mean speed
-//!    becomes that round's sample.
+//!    cache resets (with no resolver cache, every download starts clean),
+//!    until the 95% confidence interval of the download time is within 10%
+//!    of the mean (or a cap is hit). The accepted mean speed becomes that
+//!    round's sample. Only this phase draws from the probe's RNG stream,
+//!    so only probes that reach it derive one.
 //!
 //! Each round runs on one thread (the paper's tool used up to 25 because
 //! its probes waited on real networks; see [`round`]); site order is

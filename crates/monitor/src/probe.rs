@@ -11,10 +11,15 @@
 //! fault-free implementation: fault decisions live on separate RNG label
 //! streams and no extra draw ever touches the probe's own stream.
 //!
+//! A probe is a function of (world, vantage, week, salt, site, fault plan):
+//! the resolver keeps no cache, and the probe's own RNG stream is keyed by
+//! its label. The stream is derived only when a probe reaches its
+//! downloads, the first phase that draws from it; most probes end at DNS.
+//!
 //! A fault-free probe allocates nothing once warm: its RNG label is hashed
 //! piecewise ([`RngLabel`]), the resolver answers by the site's interned
-//! name from a cache with no heap data, and the HTTP headers are written
-//! into, and parsed from, one header buffer per thread.
+//! name, and the HTTP headers are written into, and parsed from, one header
+//! buffer per thread.
 
 use crate::db::PerfSample;
 use crate::disturbance::Disturbances;
@@ -184,21 +189,9 @@ fn probe_site_inner(
 ) -> ProbeOutcome {
     ipv6web_obs::inc("monitor.probes");
     let site = &ctx.sites[site_id.index()];
-    // the stream of the label "{vantage}:probe:{week}:{salt}:{site}"
-    let mut rng = RngLabel::new()
-        .push_str(ctx.vantage_name)
-        .push_str(":probe:")
-        .push_u32(week)
-        .push_str(":")
-        .push_u32(salt)
-        .push_str(":")
-        .push_u32(site_id.0)
-        .rng(ctx.seed);
-    let now_s = week as u64 * 604_800 + rng.gen_range(0..600_000);
 
     // --- phase 1: DNS ------------------------------------------------------
-    let Ok(a) =
-        resolve_through_faults(ctx, resolver, fs, site_id, RecordType::A, week, salt, now_s)
+    let Ok(a) = resolve_through_faults(ctx, resolver, fs, site_id, RecordType::A, week, salt)
     else {
         ipv6web_obs::inc("monitor.outcome.dns_failure");
         return ProbeOutcome::DnsFailure;
@@ -207,8 +200,7 @@ fn probe_site_inner(
         ipv6web_obs::inc("monitor.outcome.nxdomain");
         return ProbeOutcome::NxDomain;
     };
-    let Ok(aaaa) =
-        resolve_through_faults(ctx, resolver, fs, site_id, RecordType::Aaaa, week, salt, now_s)
+    let Ok(aaaa) = resolve_through_faults(ctx, resolver, fs, site_id, RecordType::Aaaa, week, salt)
     else {
         ipv6web_obs::inc("monitor.outcome.dns_failure");
         return ProbeOutcome::DnsFailure;
@@ -413,6 +405,21 @@ fn probe_site_inner(
 
     // --- phase 3: confidence-driven performance sampling --------------------
     let dp = DataPlane::new(ctx.topo);
+    // The stream of the label "{vantage}:probe:{week}:{salt}:{site}", derived
+    // at its first reader.
+    let mut rng = RngLabel::new()
+        .push_str(ctx.vantage_name)
+        .push_str(":probe:")
+        .push_u32(week)
+        .push_str(":")
+        .push_u32(salt)
+        .push_str(":")
+        .push_u32(site_id.0)
+        .rng(ctx.seed);
+    // The stream's first word is drawn, as a `u64` range, and discarded:
+    // dropping it would shift every later draw and so every report, and the
+    // study benchmark's replay draws the same word.
+    let _: u64 = rng.gen_range(0..600_000);
     let shared_round_factor = lognormal(&mut rng, 1.0, ctx.round_noise_sigma);
     let disturbance_factor = ctx.disturbances.factor(site_id, week);
     // unique id per downloaded exchange, so retries of different downloads
@@ -451,8 +458,8 @@ fn probe_site_inner(
         };
         let mut times = Welford::new();
         loop {
-            // "each after proper resetting to avoid local caching effects"
-            resolver.flush();
+            // "each after proper resetting to avoid local caching effects":
+            // this holds by construction, as the resolver keeps no cache.
             // server-side faults for this download: stalls slow it, resets
             // and truncations force a retried exchange
             let mut injected_stall_ms = 0.0;
@@ -632,7 +639,6 @@ fn dns_error_of(kind: DnsFaultKind) -> DnsError {
 
 /// One DNS lookup, retried through injected faults. `Err(())` means the
 /// retry policy was exhausted; `Ok(None)` is an authoritative NXDOMAIN.
-#[allow(clippy::too_many_arguments)]
 fn resolve_through_faults(
     ctx: &ProbeContext<'_>,
     resolver: &mut Resolver,
@@ -641,11 +647,10 @@ fn resolve_through_faults(
     qtype: RecordType,
     week: u32,
     salt: u32,
-    now_s: u64,
 ) -> Result<Option<Answer>, ()> {
     let name = ctx.sites[site_id.index()].name;
     let Some(s) = fs.as_mut() else {
-        return Ok(resolver.resolve_id(ctx.zone, name, qtype, week, now_s));
+        return Ok(resolver.resolve_id(ctx.zone, name, qtype, week));
     };
     let qtag = match qtype {
         RecordType::A => "A",
@@ -655,14 +660,7 @@ fn resolve_through_faults(
     loop {
         let fault =
             s.faults.injector.dns_fault(ctx.vantage_name, site_id.0, qtag, week, salt, attempt);
-        match resolver.resolve_id_faulted(
-            ctx.zone,
-            name,
-            qtype,
-            week,
-            now_s,
-            fault.map(dns_error_of),
-        ) {
+        match resolver.resolve_id_faulted(ctx.zone, name, qtype, week, fault.map(dns_error_of)) {
             Ok(answer) => {
                 if attempt > 0 {
                     ipv6web_obs::inc("faults.probe.recovered");

@@ -328,13 +328,13 @@ fn round_order(seed: u64, vantage: &str, week: u32, n: usize) -> Vec<u32> {
 }
 
 /// How many positions of the round's order ahead of the running probe a
-/// round loads a `Site`, and the name, zone entry and outcome slot it
-/// leads to. One probe outlasts a memory miss: on `internet-smoke` the
-/// traced median is ~0.9 µs for a v4-only probe and ~5 µs for a measured
-/// one. Distances of 16 and 8 measured no better, though before resolver
-/// misses skipped the wire codec.
+/// round loads a `Site`, and the zone entry and outcome slot it leads to.
+/// One probe outlasts a memory miss: on `internet-smoke` the traced median
+/// is ~0.3 µs for a v4-only probe and ~3 µs for a measured one. Distances
+/// of 16 and 8 measured no better, though before resolver misses skipped
+/// the wire codec.
 const SITE_AHEAD: usize = 2;
-const NAME_AHEAD: usize = 1;
+const ENTRY_AHEAD: usize = 1;
 
 /// Probes `sites[order[0]], sites[order[1]], …` in turn on the calling
 /// thread with one resolver, and returns each outcome at its site's
@@ -350,21 +350,22 @@ fn run_round(
     ipv6_day_mode: bool,
 ) -> Vec<Option<ProbeOutcome>> {
     ipv6web_obs::inc("monitor.rounds");
-    // Each round keeps its own caching resolver, like each of the paper's
-    // monitoring threads resolving independently.
+    // Each round keeps its own resolver, like each of the paper's
+    // monitoring threads resolving independently. It holds no cache, so
+    // no probe's answers depend on the probes before it.
     let mut resolver = resolver_for(ctx);
     let mut out = vec![None; sites.len()];
     for (i, &k) in order.iter().enumerate() {
         // The shuffled order reaches each site's lines cold once a round
         // outgrows the cache: start loading the `Site` two positions ahead,
-        // and the next position's name, zone entry and outcome slot (its
-        // `Site` arrived a probe ago), while this probe runs.
+        // and the next position's zone entry and outcome slot (its `Site`
+        // arrived a probe ago), while this probe runs.
         if let Some(&next) = order.get(i + SITE_AHEAD) {
             if let Some(site) = ctx.sites.get(sites[next as usize].index()) {
                 prefetch(site);
             }
         }
-        if let Some(&next) = order.get(i + NAME_AHEAD) {
+        if let Some(&next) = order.get(i + ENTRY_AHEAD) {
             let next = next as usize;
             if let Some(site) = ctx.sites.get(sites[next].index()) {
                 ctx.zone.prefetch(site.name);

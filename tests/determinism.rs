@@ -1,7 +1,11 @@
 //! Reproducibility: the same scenario and seed must produce bit-identical
 //! results, and different seeds must not.
 
-use ipv6web::{run_study, Scenario};
+use ipv6web::dns::Resolver;
+use ipv6web::faults::FaultPlan;
+use ipv6web::monitor::{probe_site, run_campaign, ProbeOutcome};
+use ipv6web::stats::fnv1a64;
+use ipv6web::{run_study, Scenario, World};
 use std::sync::Mutex;
 
 /// `IPV6WEB_THREADS` is process-global: tests that set it run under one
@@ -20,6 +24,74 @@ fn tiny(seed: u64) -> Scenario {
     s.analysis.min_paired_samples = 4;
     s.route_change = Some((6, 0.03, 0.01));
     s
+}
+
+/// `tiny(42)` plain, under the demo fault plan, and with the NAT64 tier's
+/// translation plane (two v6-only and two 464XLAT vantages).
+fn pinned_scenarios() -> [(&'static str, Scenario); 3] {
+    let mut faults = tiny(42);
+    faults.faults = FaultPlan::demo(12);
+    let mut nat64 = tiny(42);
+    nat64.xlat = Scenario::nat64(42).xlat;
+    [("plain", tiny(42)), ("faults", faults), ("nat64", nat64)]
+}
+
+#[test]
+fn report_digests_are_pinned() {
+    // FNV-1a of each report's JSON bytes. A change that alters report
+    // bytes on purpose updates these constants and says why.
+    const PINNED: [(&str, u64); 3] = [
+        ("plain", 0x8f67_aa83_bafa_d54b),
+        ("faults", 0x0435_e62d_5792_4d27),
+        ("nat64", 0x528f_cee8_a7f9_3b7c),
+    ];
+    let got = pinned_scenarios().map(|(name, s)| {
+        let report = run_study(&s).expect("valid scenario").report;
+        (name, fnv1a64(serde_json::to_string(&report).unwrap().as_bytes()))
+    });
+    assert_eq!(got, PINNED, "report digests: {got:x?}");
+}
+
+#[test]
+fn recorded_samples_replay_from_a_fresh_resolver() {
+    // A probe is a function of (world, vantage, week, salt, site, fault
+    // plan): replayed alone, with a resolver that has answered nothing
+    // before, a measured probe gives back exactly the samples its round
+    // recorded. Every 7th site record with samples is replayed, every week.
+    for (name, s) in pinned_scenarios() {
+        let world = World::build(&s);
+        let mut replayed = 0;
+        let mut translating = 0;
+        for (i, vantage) in world.vantages.iter().enumerate() {
+            let faults = world.probe_faults(i);
+            let ctx = world.probe_ctx(i, faults.as_ref());
+            let first_seen = |id: u32| world.sites[id as usize].first_seen_week;
+            let db =
+                run_campaign(&ctx, vantage, &world.list, &world.tail_ids, first_seen, &s.campaign)
+                    .expect("campaign runs");
+            let sampled = db.iter().filter(|(_, rec)| !rec.samples_v4.is_empty()).step_by(7);
+            for (site, rec) in sampled {
+                for (&v4, &v6) in rec.samples_v4.iter().zip(&rec.samples_v6) {
+                    let mut fresh =
+                        if ctx.stack.translates_v4() { Resolver::dns64() } else { Resolver::new() };
+                    assert_eq!(
+                        probe_site(&ctx, &mut fresh, site, v4.week, 0, false),
+                        ProbeOutcome::Measured { v4, v6 },
+                        "{name}: {} site {} week {}",
+                        vantage.name,
+                        site.0,
+                        v4.week
+                    );
+                    replayed += 1;
+                    translating += usize::from(ctx.stack.translates_v4());
+                }
+            }
+        }
+        assert!(replayed > 0, "{name}: no recorded sample was replayed");
+        if name == "nat64" {
+            assert!(translating > 0, "{name}: no translating vantage was replayed");
+        }
+    }
 }
 
 #[test]

@@ -22,8 +22,8 @@ fn dns_query_resolves_into_generated_topology_addresses() {
         .find(|s| s.v6.as_ref().is_some_and(|v| v.from_week == 0 && !v.via_6to4))
         .expect("native dual site");
     let name = zone.name_of(dual.name);
-    let a = resolver.resolve(&zone, name, RecordType::A, 0, 0).unwrap();
-    let aaaa = resolver.resolve(&zone, name, RecordType::Aaaa, 0, 0).unwrap();
+    let a = resolver.resolve(&zone, name, RecordType::A, 0).unwrap();
+    let aaaa = resolver.resolve(&zone, name, RecordType::Aaaa, 0).unwrap();
     assert_eq!(a.len(), 1);
     assert_eq!(aaaa.len(), 1);
     // the addresses belong to the right ASes
@@ -34,11 +34,12 @@ fn dns_query_resolves_into_generated_topology_addresses() {
     assert!(topo.node(origin).v6.as_ref().unwrap().prefix.contains(v6));
 }
 
-/// The resolver — codec round trip, `NameId`-keyed caches, DNS64 synthesis
-/// — answers exactly what the authority holds: for every name of a
-/// generated zone, both families, at the weeks where the answer can change,
-/// on plain and DNS64 resolvers; and its statistics are the classic
-/// accounting of misses, hits and NXDOMAINs.
+/// The resolver — codec round trip, answers by `NameId`, DNS64 synthesis —
+/// answers exactly what the authority holds: for every name of a generated
+/// zone, both families, at the weeks where the answer can change, on plain
+/// and DNS64 resolvers, and again when asked twice; and its statistics
+/// count one exchange per query and one NXDOMAIN per query of a missing
+/// name.
 #[test]
 fn resolver_answers_equal_the_authority_across_weeks() {
     use ipv6web::dns::{Answer, RecordData, ResolverStats};
@@ -77,21 +78,13 @@ fn resolver_answers_equal_the_authority_across_weeks() {
             weeks.sort_unstable();
             weeks.dedup();
             for week in weeks {
-                // weeks apart, so no answer outlives its week in the cache
-                let now = u64::from(week) * 604_800;
                 for pass in 0..2 {
                     for qtype in [RecordType::A, RecordType::Aaaa] {
-                        let got = r.resolve(&zone, name, qtype, week, now + pass);
+                        let got = r.resolve(&zone, name, qtype, week);
                         let exp = expected(name, qtype, week, dns64);
                         assert_eq!(got, exp, "{name} {qtype:?} week {week} dns64 {dns64}");
-                        // the A query already negatively cached a missing
-                        // name; the second pass hits every line
-                        if pass == 1 || (exp.is_none() && qtype == RecordType::Aaaa) {
-                            want.cache_hits += 1;
-                        } else {
-                            want.cache_misses += 1;
-                            want.nxdomain += u64::from(exp.is_none());
-                        }
+                        want.exchanges += 1;
+                        want.nxdomain += u64::from(exp.is_none());
                         if dns64 && pass == 0 && qtype == RecordType::Aaaa {
                             synthesized += got.is_some_and(|a| {
                                 let RecordData::V6(v6) = a.first().expect("AAAA answer").data

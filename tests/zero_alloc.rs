@@ -1,8 +1,8 @@
 //! A warm, fault-free probe makes no heap allocations.
 //!
-//! Each vantage runs one round to warm its resolver and the probe's header
-//! buffer, flushes the resolver, and probes the same sites again; every
-//! probe of the second pass must allocate nothing. This file is its own
+//! Each vantage runs one round to warm its resolver's codec buffers and the
+//! probe's header buffer, and probes the same sites again; every probe of
+//! the second pass must allocate nothing. This file is its own
 //! test binary because a binary can have only one `#[global_allocator]`,
 //! and counts per thread so nothing else the harness does is charged.
 
@@ -181,7 +181,6 @@ fn warm_pass(ctx: &ProbeContext<'_>, mut resolver: Resolver) -> BTreeMap<&'stati
             probe_site(ctx, &mut resolver, site.id, week, 0, false);
         }
     }
-    resolver.flush();
     let mut per_class = BTreeMap::new();
     for &week in &weeks {
         for site in ctx.sites {
