@@ -177,9 +177,9 @@ pub(crate) mod tests {
 
     pub(crate) fn run_mini_campaign(seed: u64) -> Campaign {
         let topo = gen_topo(&TopologyConfig::test_small(), seed);
-        let mut pcfg = PopulationConfig::test_small(26);
+        let mut pcfg = PopulationConfig::test_small();
         pcfg.n_sites = 1200;
-        let (sites, names) = population::generate(&pcfg, &topo, seed);
+        let (sites, names) = population::generate(&pcfg, &topo, 26, &[], seed);
         let zone = build_zone(&topo, &sites, names);
         let vantage_as =
             topo.nodes().iter().find(|n| n.tier == Tier::Access && n.is_dual_stack()).unwrap().id;

@@ -10,7 +10,6 @@
 //! repro all --seed 7 --json out.json
 //! repro all --fault-plan plan.json --checkpoint-dir ckpt/
 //! repro all --metrics BENCH.json --baseline BENCH_quick_baseline.json
-//! repro sweep sweep.json --store out/ --procs 4   # supervised study sweep
 //! ```
 
 use ipv6web_bench::{check_regression, render_diff, BenchReport, DEFAULT_TOLERANCE};
@@ -30,7 +29,6 @@ fn usage() -> ! {
          \x20            [--seed N] [--json FILE]\n\
          \x20            [--csv DIR] [--fault-plan FILE] [--checkpoint-dir DIR]\n\
          \x20            [--metrics FILE] [--baseline FILE]\n\
-         \x20      repro sweep <sweep.json> --store DIR [--procs N] [--metrics FILE]\n\
          artifacts: {}",
         scales.join("|"),
         ARTIFACTS.join(" ")
@@ -83,12 +81,6 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.is_empty() {
         usage();
-    }
-    // `repro sweep …` hands the rest of the line to the sweep CLI before
-    // any artifact parsing. The `["sweep"]` prefix makes worker
-    // self-invocations (`current_exe()`) route back through this arm.
-    if args[0] == "sweep" {
-        std::process::exit(ipv6web_sweep::cli::cli_main(&args[1..], &["sweep"]));
     }
     let mut wanted: Vec<String> = Vec::new();
     let mut scale = String::from("quick");

@@ -18,8 +18,9 @@ pub struct Scenario {
     pub seed: u64,
     /// AS-level topology parameters.
     pub topology: TopologyConfig,
-    /// Site population parameters (its adoption curve is overwritten from
-    /// `timeline` at build time).
+    /// Site population parameters. Its calendar is `timeline`'s: sites
+    /// churn in within `timeline.total_weeks` and publish AAAA records on
+    /// `timeline`'s adoption curve.
     pub population: PopulationConfig,
     /// Number of extra "DNS-cache tail" sites appended beyond the ranked
     /// list (Penn's external inputs, Fig 3b's 5M-sites series).
@@ -93,14 +94,12 @@ impl Scenario {
     /// 30k tail, 52 weekly rounds from six vantage points. Takes minutes;
     /// use [`Scenario::quick`] for tests and examples.
     pub fn paper(seed: u64) -> Self {
-        let timeline = AdoptionTimeline::paper();
-        let population = PopulationConfig::paper_scale(timeline.total_weeks, timeline.curve());
         Scenario {
             seed,
             topology: TopologyConfig::paper_scale(),
-            population,
+            population: PopulationConfig::paper_scale(),
             tail_sites: 30_000,
-            timeline,
+            timeline: AdoptionTimeline::paper(),
             campaign: CampaignConfig::paper(),
             disturbances: DisturbanceConfig::paper(),
             tcp: TcpConfig::paper(),
@@ -124,13 +123,8 @@ impl Scenario {
         timeline.total_weeks = 26;
         timeline.iana_week = 8;
         timeline.ipv6_day_week = 20;
-        let mut population =
-            PopulationConfig::test_small(timeline.total_weeks).with_curve(timeline.curve());
-        population.n_sites = 2_500;
-        let mut campaign = CampaignConfig::paper();
-        campaign.total_weeks = timeline.total_weeks;
-        campaign.workers = 8;
-        campaign.ipv6_day_rounds = 6;
+        let population = PopulationConfig { n_sites: 2_500, ..PopulationConfig::test_small() };
+        let campaign = CampaignConfig { total_weeks: timeline.total_weeks, ipv6_day_rounds: 6 };
         let mut analysis = AnalysisConfig::paper();
         analysis.min_paired_samples = 6;
         Scenario {
@@ -139,7 +133,7 @@ impl Scenario {
             population,
             tail_sites: 600,
             timeline,
-            campaign: CampaignConfig { ..campaign },
+            campaign,
             disturbances: DisturbanceConfig::paper(),
             tcp: TcpConfig::paper(),
             ci_rule: RelativeCiRule::paper(),
@@ -170,7 +164,7 @@ impl Scenario {
         timeline.total_weeks = 26;
         timeline.iana_week = 8;
         timeline.ipv6_day_week = 20;
-        let mut population = PopulationConfig::paper_scale(timeline.total_weeks, timeline.curve());
+        let mut population = PopulationConfig::paper_scale();
         population.n_sites = 1_000_000;
         population.hosting_pool_cap = Some(2_500);
         let mut campaign = CampaignConfig::paper();
@@ -319,7 +313,8 @@ impl Scenario {
     /// knob [`Scenario::validate`] ties to the calendar: the campaign
     /// length follows the timeline, and `fig1_from_week` / the
     /// route-change epoch are clamped back inside a shortened campaign
-    /// (preserving their week when it still fits).
+    /// (preserving their week when it still fits). The population needs no
+    /// re-sync: the world build takes its calendar from the timeline.
     pub fn with_timeline(mut self, timeline: AdoptionTimeline) -> Scenario {
         self.campaign.total_weeks = timeline.total_weeks;
         self.fig1_from_week = self.fig1_from_week.min(timeline.total_weeks.saturating_sub(1));
@@ -373,7 +368,6 @@ impl Scenario {
                 return Err("route-change fractions outside [0,1]".into());
             }
         }
-        self.campaign.validate().map_err(|e| format!("campaign: {e}"))?;
         self.faults.validate(self.timeline.total_weeks).map_err(|e| format!("fault plan: {e}"))?;
         self.xlat.validate().map_err(|e| format!("xlat: {e}"))?;
         match &self.vantage_population {
@@ -449,15 +443,32 @@ mod tests {
     #[test]
     fn legacy_stream_routes_key_is_ignored() {
         // scenario files written while table building had two pipelines
-        // carry a `stream_routes` flag; both values parse to the preset
+        // carry a `stream_routes` flag, and files written before the
+        // scenario stated each setting once carry the campaign's thread
+        // counts and the population's own calendar; all parse to the preset
+        use serde_json::Value;
         for preset in [Scenario::quick(7), Scenario::internet_smoke(7)] {
+            let curve = serde_json::to_value(&preset.timeline.curve()).unwrap();
+            let legacy = [
+                ("campaign", "workers", Value::U64(8)),
+                ("campaign", "max_workers", Value::U64(25)),
+                ("population", "total_weeks", Value::U64(preset.timeline.total_weeks.into())),
+                ("population", "adoption_curve", curve),
+            ];
             for flag in [true, false] {
                 let mut v = serde_json::to_value(&preset).unwrap();
-                if let serde_json::Value::Obj(fields) = &mut v {
-                    fields.push(("stream_routes".to_string(), serde_json::Value::Bool(flag)));
+                let Value::Obj(fields) = &mut v else { panic!("a scenario is an object") };
+                fields.push(("stream_routes".to_string(), Value::Bool(flag)));
+                for (section, key, value) in &legacy {
+                    let Some((_, Value::Obj(inner))) =
+                        fields.iter_mut().find(|(k, _)| k == section)
+                    else {
+                        panic!("no {section} object")
+                    };
+                    assert!(inner.iter().all(|(k, _)| k != key), "{section} still has {key}");
+                    inner.push((key.to_string(), value.clone()));
                 }
                 let json = serde_json::to_string(&v).unwrap();
-                assert!(json.contains("\"stream_routes\""), "{json}");
                 let back: Scenario = serde_json::from_str(&json).unwrap();
                 assert_eq!(back, preset, "stream_routes: {flag}");
             }

@@ -401,10 +401,10 @@ mod tests {
     #[test]
     fn invalid_scenario_is_a_typed_error() {
         let mut s = Scenario::quick(1);
-        s.campaign.workers = 0;
+        s.identity_threshold = 1.0;
         match run_study(&s) {
             Err(StudyError::InvalidScenario(msg)) => {
-                assert!(msg.contains("workers"), "unexpected message: {msg}")
+                assert!(msg.contains("identity threshold"), "unexpected message: {msg}")
             }
             other => panic!("expected InvalidScenario, got {:?}", other.err()),
         }

@@ -204,10 +204,16 @@ impl World {
 
         let mut pop_cfg = scenario.population.clone();
         pop_cfg.n_sites = scenario.total_sites();
-        pop_cfg.adoption_curve = scenario.timeline.curve();
+        let timeline = &scenario.timeline;
         let (sites, names) = {
             let _s = ipv6web_obs::span("world: population");
-            population::generate(&pop_cfg, &topo, scenario.seed)
+            population::generate(
+                &pop_cfg,
+                &topo,
+                timeline.total_weeks,
+                &timeline.curve(),
+                scenario.seed,
+            )
         };
         let zone = {
             let _s = ipv6web_obs::span("world: dns zone");
@@ -572,8 +578,8 @@ mod tests {
         // with `population_hash`. A change to either orphans every stored
         // job id, sweep key and checkpoint stamp, so it must be deliberate.
         let cases = [
-            (Scenario::quick(42), 0x369c_43ed_d6cb_d994, 0xabb7_cf68_dd9d_3556, false),
-            (Scenario::nat64(42), 0x277c_1678_4ee4_037c, 0x01e6_3247_708f_7b5a, true),
+            (Scenario::quick(42), 0x2190_72ab_5801_d28a, 0xabb7_cf68_dd9d_3556, false),
+            (Scenario::nat64(42), 0x39c7_d685_6c1a_b772, 0x01e6_3247_708f_7b5a, true),
         ];
         for (scenario, config_hash, population_hash, emits_stack) in cases {
             assert_eq!(scenario.config_hash(), config_hash);
@@ -581,6 +587,21 @@ mod tests {
             assert_eq!(ipv6web_monitor::population_hash(&w.vantages), population_hash);
             let json = serde_json::to_string(&w.vantages).unwrap();
             assert_eq!(json.contains("\"stack\""), emits_stack, "{json}");
+        }
+    }
+
+    #[test]
+    fn a_shortened_campaign_churns_within_its_own_weeks() {
+        // the population's calendar is the timeline's: with eight weeks,
+        // every list and tail site is first seen in weeks 0..8
+        let mut t = Scenario::quick(42).timeline;
+        t.total_weeks = 8;
+        t.iana_week = 3;
+        t.ipv6_day_week = 6;
+        let w = World::build(&Scenario::quick(42).with_timeline(t));
+        assert!(w.sites.iter().any(|s| s.first_seen_week > 0), "some sites churn in");
+        for s in &w.sites {
+            assert!(s.first_seen_week < 8, "{} first seen at week {}", s.id, s.first_seen_week);
         }
     }
 

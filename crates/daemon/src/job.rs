@@ -162,7 +162,7 @@ mod tests {
         assert!(bad_scale.resolve().unwrap_err().contains("galactic"));
 
         let mut broken = Scenario::quick(1);
-        broken.campaign.workers = 0;
+        broken.identity_threshold = 1.0;
         let invalid = JobSpec { scenario: Some(broken), ..JobSpec::default() };
         assert!(invalid.resolve().unwrap_err().contains("invalid scenario"));
     }

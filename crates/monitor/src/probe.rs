@@ -170,6 +170,17 @@ pub fn probe_site(
 ) -> ProbeOutcome {
     let mut fs = ctx.faults.map(FaultSession::new);
     let out = probe_site_inner(ctx, resolver, &mut fs, site_id, week, salt, ipv6_day_mode);
+    ipv6web_obs::inc(match out {
+        ProbeOutcome::NxDomain => "monitor.outcome.nxdomain",
+        ProbeOutcome::V4Only => "monitor.outcome.v4_only",
+        ProbeOutcome::Unroutable(_) => "monitor.outcome.unroutable",
+        ProbeOutcome::DifferentContent => "monitor.outcome.different_content",
+        ProbeOutcome::Measured { .. } => "monitor.outcome.measured",
+        ProbeOutcome::Unconfident(_) => "monitor.outcome.unconfident",
+        ProbeOutcome::Malformed => "monitor.outcome.malformed",
+        ProbeOutcome::DnsFailure => "monitor.outcome.dns_failure",
+        ProbeOutcome::TimedOut(_) => "monitor.outcome.timed_out",
+    });
     if let Some(fs) = fs {
         if fs.retried > 0 {
             ipv6web_obs::observe("faults.retries_per_probe", u64::from(fs.retried));
@@ -193,27 +204,22 @@ fn probe_site_inner(
     // --- phase 1: DNS ------------------------------------------------------
     let Ok(a) = resolve_through_faults(ctx, resolver, fs, site_id, RecordType::A, week, salt)
     else {
-        ipv6web_obs::inc("monitor.outcome.dns_failure");
         return ProbeOutcome::DnsFailure;
     };
     let Some(a) = a else {
-        ipv6web_obs::inc("monitor.outcome.nxdomain");
         return ProbeOutcome::NxDomain;
     };
     let Ok(aaaa) = resolve_through_faults(ctx, resolver, fs, site_id, RecordType::Aaaa, week, salt)
     else {
-        ipv6web_obs::inc("monitor.outcome.dns_failure");
         return ProbeOutcome::DnsFailure;
     };
     let aaaa = aaaa.unwrap_or_default();
     if a.is_empty() || aaaa.is_empty() {
-        ipv6web_obs::inc("monitor.outcome.v4_only");
         return ProbeOutcome::V4Only;
     }
     if site.v6.as_ref().is_some_and(|v| v.whitelist_only) && !ctx.white_listed {
         // the authority answers AAAA only to certified resolvers
         ipv6web_obs::inc("monitor.whitelist_denials");
-        ipv6web_obs::inc("monitor.outcome.v4_only");
         return ProbeOutcome::V4Only;
     }
     if ctx.stack.translates_v4() {
@@ -229,7 +235,6 @@ fn probe_site_inner(
             });
         if all_synthesized {
             ipv6web_obs::inc("xlat.translator_only");
-            ipv6web_obs::inc("monitor.outcome.v4_only");
             return ProbeOutcome::V4Only;
         }
     }
@@ -259,7 +264,6 @@ fn probe_site_inner(
         let Some(x) = ctx.xlat else {
             // a v6-only host without a translation plane has no path to
             // the v4 side at all
-            ipv6web_obs::inc("monitor.outcome.unroutable");
             return ProbeOutcome::Unroutable(Family::V4);
         };
         let mut live = None;
@@ -277,21 +281,17 @@ fn probe_site_inner(
             if let Some(s) = fs.as_mut() {
                 s.burn_retries();
             }
-            ipv6web_obs::inc("monitor.outcome.timed_out");
             return ProbeOutcome::TimedOut(Family::V4);
         };
         let Some(leg6) = v6_table.route(x.wiring.gateways[gw]) else {
-            ipv6web_obs::inc("monitor.outcome.unroutable");
             return ProbeOutcome::Unroutable(Family::V4);
         };
         let Some(leg4) = x.wiring.tables[gw].route(site.v4_as) else {
-            ipv6web_obs::inc("monitor.outcome.unroutable");
             return ProbeOutcome::Unroutable(Family::V4);
         };
         V4Slot::Translated { leg6, leg4, gw }
     } else {
         let Some(route4) = ctx.table_v4.route(site.v4_as) else {
-            ipv6web_obs::inc("monitor.outcome.unroutable");
             return ProbeOutcome::Unroutable(Family::V4);
         };
         V4Slot::Native(route4)
@@ -299,11 +299,9 @@ fn probe_site_inner(
     // An AAAA answer without site v6 metadata cannot happen through the
     // simulated zone; treat it defensively as v4-only rather than panicking.
     let Some(site_v6) = site.v6.as_ref() else {
-        ipv6web_obs::inc("monitor.outcome.v4_only");
         return ProbeOutcome::V4Only;
     };
     let Some(route6) = v6_table.route(site_v6.dest_as) else {
-        ipv6web_obs::inc("monitor.outcome.unroutable");
         return ProbeOutcome::Unroutable(Family::V6);
     };
 
@@ -330,7 +328,6 @@ fn probe_site_inner(
         {
             if impact.down {
                 s.burn_retries();
-                ipv6web_obs::inc("monitor.outcome.timed_out");
                 return ProbeOutcome::TimedOut(family);
             }
             extra_loss[slot] = impact.extra_loss;
@@ -389,17 +386,12 @@ fn probe_site_inner(
     });
     let (len4, len6) = match fetched {
         Ok(lens) => lens,
-        Err(family) => {
-            ipv6web_obs::inc("monitor.outcome.timed_out");
-            return ProbeOutcome::TimedOut(family);
-        }
+        Err(family) => return ProbeOutcome::TimedOut(family),
     };
     let (Some(len4), Some(len6)) = (len4, len6) else {
-        ipv6web_obs::inc("monitor.outcome.malformed");
         return ProbeOutcome::Malformed;
     };
     if !pages_identical(len4 as u64, len6 as u64, ctx.identity_threshold) {
-        ipv6web_obs::inc("monitor.outcome.different_content");
         return ProbeOutcome::DifferentContent;
     }
 
@@ -548,14 +540,8 @@ fn probe_site_inner(
     }
     let v4 = match measure(Family::V4, m4, fs) {
         MeasureEnd::Sample(s) => s,
-        MeasureEnd::Unconfident => {
-            ipv6web_obs::inc("monitor.outcome.unconfident");
-            return ProbeOutcome::Unconfident(Family::V4);
-        }
-        MeasureEnd::TimedOut => {
-            ipv6web_obs::inc("monitor.outcome.timed_out");
-            return ProbeOutcome::TimedOut(Family::V4);
-        }
+        MeasureEnd::Unconfident => return ProbeOutcome::Unconfident(Family::V4),
+        MeasureEnd::TimedOut => return ProbeOutcome::TimedOut(Family::V4),
     };
     let mut m6 = dp.metrics(route6, Family::V6);
     if extra_loss[1] > 0.0 {
@@ -563,16 +549,9 @@ fn probe_site_inner(
     }
     let v6 = match measure(Family::V6, m6, fs) {
         MeasureEnd::Sample(s) => s,
-        MeasureEnd::Unconfident => {
-            ipv6web_obs::inc("monitor.outcome.unconfident");
-            return ProbeOutcome::Unconfident(Family::V6);
-        }
-        MeasureEnd::TimedOut => {
-            ipv6web_obs::inc("monitor.outcome.timed_out");
-            return ProbeOutcome::TimedOut(Family::V6);
-        }
+        MeasureEnd::Unconfident => return ProbeOutcome::Unconfident(Family::V6),
+        MeasureEnd::TimedOut => return ProbeOutcome::TimedOut(Family::V6),
     };
-    ipv6web_obs::inc("monitor.outcome.measured");
     ProbeOutcome::Measured { v4, v6 }
 }
 
@@ -701,7 +680,8 @@ mod tests {
 
     fn world() -> World {
         let topo = gen_topo(&TopologyConfig::test_small(), 21);
-        let (sites, names) = population::generate(&PopulationConfig::test_small(52), &topo, 21);
+        let (sites, names) =
+            population::generate(&PopulationConfig::test_small(), &topo, 52, &[], 21);
         let zone = build_zone(&topo, &sites, names);
         let vantage =
             topo.nodes().iter().find(|n| n.tier == Tier::Access && n.is_dual_stack()).unwrap().id;

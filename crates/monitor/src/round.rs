@@ -8,10 +8,7 @@
 //! `(seed, vantage, week, site)`, so a round runs one loop on the calling
 //! thread with its own resolver, loading the lines of the sites coming up
 //! before their probes start; a study's threads go to its vantage points
-//! instead. The configured thread count ([`CampaignConfig::workers`]) is
-//! still validated against [`CampaignConfig::max_workers`] up front — an
-//! out-of-range configuration is a typed [`ConfigError`], not a panic or a
-//! silent clamp — but it never changes a result or the schedule.
+//! instead.
 //!
 //! A probe that panics is a bug: the panic reaches the caller and the
 //! round keeps nothing. Injected faults are outcomes, not panics; an
@@ -39,14 +36,6 @@ pub struct CampaignConfig {
     /// Campaign length, weeks (one round per week, as the paper's
     /// "approximately bi-weekly to weekly" cadence).
     pub total_weeks: u32,
-    /// The paper tool's monitoring thread count (Fig 2). Must be in
-    /// `1..=max_workers` ([`Self::validate`]). It is part of the scenario
-    /// and its hash, but it never changes a result or the schedule: every
-    /// round runs on one thread.
-    pub workers: usize,
-    /// Hard cap on `workers` (the paper's tool ran "no more than 25"
-    /// parallel monitoring threads).
-    pub max_workers: usize,
     /// Number of World IPv6 Day rounds (paper: every 30 min for a day).
     pub ipv6_day_rounds: u32,
 }
@@ -54,47 +43,18 @@ pub struct CampaignConfig {
 impl CampaignConfig {
     /// The paper's configuration.
     pub fn paper() -> Self {
-        CampaignConfig { total_weeks: 52, workers: 25, max_workers: 25, ipv6_day_rounds: 48 }
+        CampaignConfig { total_weeks: 52, ipv6_day_rounds: 48 }
     }
 
     /// A fast configuration for tests.
     pub fn test_small() -> Self {
-        CampaignConfig { total_weeks: 20, workers: 4, max_workers: 25, ipv6_day_rounds: 4 }
-    }
-
-    /// Checks the worker settings. Replaces the old behavior of silently
-    /// clamping any requested count into `1..=25`.
-    pub fn validate(&self) -> Result<(), ConfigError> {
-        if self.max_workers == 0 {
-            return Err(ConfigError::ZeroWorkerCap);
-        }
-        if self.workers == 0 {
-            return Err(ConfigError::ZeroWorkers);
-        }
-        if self.workers > self.max_workers {
-            return Err(ConfigError::WorkersExceedCap {
-                workers: self.workers,
-                max_workers: self.max_workers,
-            });
-        }
-        Ok(())
+        CampaignConfig { total_weeks: 20, ipv6_day_rounds: 4 }
     }
 }
 
-/// A campaign configuration the tool refuses to run.
+/// A checkpoint directory the tool refuses to write into.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ConfigError {
-    /// `workers == 0`: a tool with no monitoring thread.
-    ZeroWorkers,
-    /// `max_workers == 0`: the cap admits no thread at all.
-    ZeroWorkerCap,
-    /// The requested thread count exceeds the tool's hard cap.
-    WorkersExceedCap {
-        /// Requested monitoring threads.
-        workers: usize,
-        /// The configured cap.
-        max_workers: usize,
-    },
     /// The checkpoint directory's parent does not exist — almost always a
     /// typo'd path. Creating the whole chain silently (what
     /// `create_dir_all` would do) hides the typo until gigabytes of
@@ -116,11 +76,6 @@ pub enum ConfigError {
 impl std::fmt::Display for ConfigError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            ConfigError::ZeroWorkers => write!(f, "workers must be at least 1"),
-            ConfigError::ZeroWorkerCap => write!(f, "max_workers must be at least 1"),
-            ConfigError::WorkersExceedCap { workers, max_workers } => {
-                write!(f, "workers ({workers}) exceeds max_workers ({max_workers})")
-            }
             ConfigError::CheckpointDirMissingParent { path, parent } => write!(
                 f,
                 "checkpoint directory {} cannot be created: parent {} does not exist",
@@ -173,7 +128,7 @@ pub fn validate_checkpoint_dir(dir: &Path) -> Result<(), ConfigError> {
 /// Why a campaign could not run (or stopped).
 #[derive(Debug)]
 pub enum CampaignError {
-    /// The configuration failed [`CampaignConfig::validate`].
+    /// The checkpoint directory failed [`validate_checkpoint_dir`].
     Config(ConfigError),
     /// A per-round checkpoint could not be written.
     Checkpoint {
@@ -201,7 +156,7 @@ pub enum CampaignError {
 impl std::fmt::Display for CampaignError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            CampaignError::Config(e) => write!(f, "invalid campaign config: {e}"),
+            CampaignError::Config(e) => write!(f, "{e}"),
             CampaignError::Checkpoint { path, source } => {
                 write!(f, "checkpoint {} failed: {source}", path.display())
             }
@@ -235,12 +190,6 @@ impl std::error::Error for CampaignError {
     }
 }
 
-impl From<ConfigError> for CampaignError {
-    fn from(e: ConfigError) -> Self {
-        CampaignError::Config(e)
-    }
-}
-
 /// Applies one probe outcome to the database.
 fn apply_outcome(
     db: &mut MonitorDb,
@@ -249,58 +198,42 @@ fn apply_outcome(
     week: u32,
     outcome: ProbeOutcome,
 ) {
+    use ProbeOutcome::*;
     let rec = db.record_mut(site, added_week);
+    // what the round's DNS answers said about the site's records
     match outcome {
-        ProbeOutcome::NxDomain => {
-            rec.has_a = false;
-        }
-        ProbeOutcome::V4Only => {
+        // nothing can be concluded about the site's records this round
+        DnsFailure => {}
+        NxDomain => rec.has_a = false,
+        V4Only => {
             rec.has_a = true;
             rec.has_aaaa = false;
         }
-        ProbeOutcome::Unroutable(_) => {
+        Unroutable(_)
+        | DifferentContent
+        | Measured { .. }
+        | Unconfident(_)
+        | Malformed
+        | TimedOut(_) => {
             rec.has_a = true;
             rec.has_aaaa = true;
             rec.dual_since.get_or_insert(week);
         }
-        ProbeOutcome::DifferentContent => {
-            rec.has_a = true;
-            rec.has_aaaa = true;
-            rec.dual_since.get_or_insert(week);
-            rec.content_identical = Some(false);
-        }
-        ProbeOutcome::Measured { v4, v6 } => {
-            rec.has_a = true;
-            rec.has_aaaa = true;
-            rec.dual_since.get_or_insert(week);
+    }
+    // what the exchange and the performance round added
+    match outcome {
+        NxDomain | V4Only | Unroutable(_) => {}
+        DifferentContent => rec.content_identical = Some(false),
+        Measured { v4, v6 } => {
             rec.content_identical = Some(true);
             rec.samples_v4.push(v4);
             rec.samples_v6.push(v6);
         }
-        ProbeOutcome::Unconfident(_) => {
-            rec.has_a = true;
-            rec.has_aaaa = true;
-            rec.dual_since.get_or_insert(week);
-            rec.unconfident_rounds += 1;
-        }
-        ProbeOutcome::Malformed => {
-            // DNS said dual-stack before the exchange tore; the performance
-            // round is discarded (the sanitizer's job), reachability stands
-            rec.has_a = true;
-            rec.has_aaaa = true;
-            rec.dual_since.get_or_insert(week);
-            rec.malformed_rounds += 1;
-        }
-        ProbeOutcome::DnsFailure => {
-            // nothing can be concluded about the site's records this round
-            rec.faulted_rounds += 1;
-        }
-        ProbeOutcome::TimedOut(_) => {
-            rec.has_a = true;
-            rec.has_aaaa = true;
-            rec.dual_since.get_or_insert(week);
-            rec.faulted_rounds += 1;
-        }
+        Unconfident(_) => rec.unconfident_rounds += 1,
+        // the exchange tore after DNS said dual-stack: the performance
+        // round is discarded (the sanitizer's job), reachability stands
+        Malformed => rec.malformed_rounds += 1,
+        DnsFailure | TimedOut(_) => rec.faulted_rounds += 1,
     }
 }
 
@@ -491,7 +424,6 @@ pub fn run_campaign_resumable(
     resume: Option<MonitorDb>,
     checkpoint_dir: Option<&Path>,
 ) -> Result<MonitorDb, CampaignError> {
-    cfg.validate()?;
     let mut db = resume.unwrap_or_else(|| MonitorDb::new(vantage.name.clone()));
     let resume_from = db.completed_weeks.max(vantage.start_week);
     let mut monitored = MonitoredSet::new();
@@ -537,6 +469,10 @@ pub fn run_campaign_resumable(
 /// Runs the World IPv6 Day side experiment: `cfg.ipv6_day_rounds` rounds
 /// against the participant subset, with server-side IPv6 penalties lifted.
 /// Returns a separate database whose samples all carry the event week.
+///
+/// It cannot fail: it writes no checkpoints, and every campaign setting
+/// is valid. It keeps its `Result` because the study benchmark
+/// (`studybench/src/study.rs`) maps its error.
 pub fn run_ipv6_day_rounds(
     ctx: &ProbeContext<'_>,
     vantage: &VantagePoint,
@@ -544,7 +480,6 @@ pub fn run_ipv6_day_rounds(
     event_week: u32,
     cfg: &CampaignConfig,
 ) -> Result<MonitorDb, CampaignError> {
-    cfg.validate()?;
     let mut db = MonitorDb::new(format!("{} (IPv6 Day)", vantage.name));
     // participants are probed in the order given
     let n = u32::try_from(participants.len()).expect("u32 site ids bound the participants");
@@ -624,9 +559,9 @@ mod tests {
 
     fn world(n_sites: usize) -> World {
         let topo = gen_topo(&TopologyConfig::test_small(), 77);
-        let mut pop_cfg = PopulationConfig::test_small(20);
+        let mut pop_cfg = PopulationConfig::test_small();
         pop_cfg.n_sites = n_sites;
-        let (sites, names) = population::generate(&pop_cfg, &topo, 77);
+        let (sites, names) = population::generate(&pop_cfg, &topo, 20, &[], 77);
         let zone = build_zone(&topo, &sites, names);
         let vantage_as =
             topo.nodes().iter().find(|n| n.tier == Tier::Access && n.is_dual_stack()).unwrap().id;
@@ -751,39 +686,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn config_validation_rejects_bad_worker_counts() {
-        assert!(CampaignConfig::paper().validate().is_ok());
-        assert!(CampaignConfig::test_small().validate().is_ok());
-        let mut zero = CampaignConfig::test_small();
-        zero.workers = 0;
-        assert_eq!(zero.validate(), Err(ConfigError::ZeroWorkers));
-        let mut over = CampaignConfig::test_small();
-        over.workers = over.max_workers + 1;
-        assert_eq!(
-            over.validate(),
-            Err(ConfigError::WorkersExceedCap { workers: 26, max_workers: 25 }),
-            "over-cap must be an error, not a clamp"
-        );
-        let mut no_cap = CampaignConfig::test_small();
-        no_cap.max_workers = 0;
-        assert_eq!(no_cap.validate(), Err(ConfigError::ZeroWorkerCap));
-    }
-
-    #[test]
-    fn campaign_errors_on_over_cap_workers() {
-        let w = world(10);
-        let c = ctx(&w);
-        let mut cfg = CampaignConfig::test_small();
-        cfg.workers = cfg.max_workers + 10;
-        let err = run_campaign(&c, &w.vantage, &w.list, &[], |_| 0, &cfg).unwrap_err();
-        assert!(
-            matches!(err, CampaignError::Config(ConfigError::WorkersExceedCap { .. })),
-            "got {err}"
-        );
-        assert!(err.to_string().contains("exceeds max_workers"), "{err}");
     }
 
     #[test]

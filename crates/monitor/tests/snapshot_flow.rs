@@ -17,9 +17,9 @@ use ipv6web_web::{build_zone, population, PopulationConfig};
 #[test]
 fn campaign_snapshot_and_central_merge() {
     let topo = generate(&TopologyConfig::test_small(), 99);
-    let mut pcfg = PopulationConfig::test_small(10);
+    let mut pcfg = PopulationConfig::test_small();
     pcfg.n_sites = 250;
-    let (sites, names) = population::generate(&pcfg, &topo, 99);
+    let (sites, names) = population::generate(&pcfg, &topo, 10, &[], 99);
     let zone = build_zone(&topo, &sites, names);
     let list = TopList::from_parts(sites.iter().map(|s| (s.id.0, s.rank, s.first_seen_week)));
     let disturbances = Disturbances::generate(&DisturbanceConfig::none(), sites.len(), 10, 99);
@@ -76,8 +76,7 @@ fn campaign_snapshot_and_central_merge() {
             stack: ipv6web_xlat::ClientStack::DualStack,
             xlat: None,
         };
-        let cfg =
-            CampaignConfig { total_weeks: 10, workers: 4, max_workers: 25, ipv6_day_rounds: 2 };
+        let cfg = CampaignConfig { total_weeks: 10, ipv6_day_rounds: 2 };
         let db = run_campaign(&ctx, &vantage, &list, &[], |_| 0, &cfg).unwrap();
         assert!(!db.is_empty());
         let path = dir.join(format!("{name}.json"));

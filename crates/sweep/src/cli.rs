@@ -1,7 +1,4 @@
-//! Command-line front end, shared by the standalone `ipv6web-sweep`
-//! binary and the `repro sweep` subcommand (which passes
-//! `worker_prefix = ["sweep"]` so worker re-invocations route back
-//! through the multiplexer).
+//! Command-line front end of the `ipv6web-sweep` binary.
 
 use crate::orchestrator::{run_sweep, run_worker, SweepConfig};
 use crate::spec::{ChaosSpec, FaultAxis, SupervisionSpec, SweepSpec, TimelineTweak};
@@ -152,7 +149,7 @@ fn emit_spec_main(args: &[String]) -> i32 {
     0
 }
 
-fn run_main(args: &[String], worker_prefix: &[&str]) -> i32 {
+fn run_main(args: &[String]) -> i32 {
     let mut spec_path: Option<String> = None;
     let mut store: Option<String> = None;
     let mut procs = 1;
@@ -197,7 +194,6 @@ fn run_main(args: &[String], worker_prefix: &[&str]) -> i32 {
         store_dir: PathBuf::from(&store),
         procs,
         worker_exe,
-        worker_prefix: worker_prefix.iter().map(|s| s.to_string()).collect(),
     };
     match run_sweep(&spec, &cfg) {
         Ok(summary) => {
@@ -226,14 +222,14 @@ fn run_main(args: &[String], worker_prefix: &[&str]) -> i32 {
     }
 }
 
-/// Entry point shared by the standalone binary (`worker_prefix = []`)
-/// and `repro sweep` (`worker_prefix = ["sweep"]`).
-pub fn cli_main(args: &[String], worker_prefix: &[&str]) -> i32 {
+/// Entry point of the `ipv6web-sweep` binary: `args` without the program
+/// name; returns the process exit code.
+pub fn cli_main(args: &[String]) -> i32 {
     match args.first().map(String::as_str) {
         Some("worker") => worker_main(&args[1..]),
         Some("emit-spec") => emit_spec_main(&args[1..]),
-        Some("run") => run_main(&args[1..], worker_prefix),
-        Some(_) => run_main(args, worker_prefix),
+        Some("run") => run_main(&args[1..]),
+        Some(_) => run_main(args),
         None => usage(),
     }
 }
@@ -272,9 +268,9 @@ mod tests {
     #[test]
     fn bad_invocations_exit_with_usage() {
         let args = |list: &[&str]| list.iter().map(|s| s.to_string()).collect::<Vec<_>>();
-        assert_eq!(cli_main(&args(&[]), &[]), 2, "no args");
-        assert_eq!(cli_main(&args(&["run"]), &[]), 2, "no spec/store");
-        assert_eq!(cli_main(&args(&["worker", "--bogus"]), &[]), 2);
-        assert_eq!(cli_main(&args(&["spec.json", "--unknown-flag"]), &[]), 2);
+        assert_eq!(cli_main(&args(&[])), 2, "no args");
+        assert_eq!(cli_main(&args(&["run"])), 2, "no spec/store");
+        assert_eq!(cli_main(&args(&["worker", "--bogus"])), 2);
+        assert_eq!(cli_main(&args(&["spec.json", "--unknown-flag"])), 2);
     }
 }

@@ -37,9 +37,6 @@ pub struct SweepConfig {
     pub procs: usize,
     /// Executable to spawn for workers — normally `current_exe()`.
     pub worker_exe: PathBuf,
-    /// Arguments in front of `worker …` — `["sweep"]` when the worker
-    /// entry point is the multiplexed `repro` binary.
-    pub worker_prefix: Vec<String>,
 }
 
 /// Accounting for one orchestrator run. All of this is volatile
@@ -128,8 +125,7 @@ const POLL: Duration = Duration::from_millis(25);
 
 fn spawn_worker(cfg: &SweepConfig, index: usize, threads: usize) -> io::Result<Child> {
     let mut cmd = Command::new(&cfg.worker_exe);
-    cmd.args(&cfg.worker_prefix)
-        .arg("worker")
+    cmd.arg("worker")
         .arg("--spec")
         .arg(&cfg.spec_path)
         .arg("--index")
@@ -466,7 +462,6 @@ mod tests {
             store_dir: dir.clone(),
             procs: 1,
             worker_exe: dir.join("no-worker-is-spawned"),
-            worker_prefix: Vec::new(),
         };
         let summary = run_sweep(&spec, &cfg).unwrap();
         assert_eq!((summary.total, summary.skipped, summary.completed), (2, 2, 0));

@@ -15,7 +15,9 @@
 //!   machinery detects).
 //! * **Adoption timeline**: AAAA publication weeks are drawn from a
 //!   cumulative adoption curve (supplied by the `ipv6web-alexa` timeline)
-//!   so Fig 1's jumps appear in plain DNS data.
+//!   so Fig 1's jumps appear in plain DNS data, and churned-in sites join
+//!   within the campaign's weeks. The caller supplies both the curve and
+//!   the campaign length.
 
 use crate::server::ServerProfile;
 use crate::site::{Site, SiteId, SiteV6};
@@ -66,13 +68,8 @@ pub struct PopulationConfig {
     /// Probability a top-100-ranked dual-stack site gates its AAAA behind
     /// resolver white-listing (the Google model).
     pub whitelist_share_top: f64,
-    /// Campaign length in weeks (for churn and adoption sampling).
-    pub total_weeks: u32,
     /// Fraction of sites present from week 0 (the rest churn in later).
     pub initial_presence: f64,
-    /// Cumulative AAAA-publication curve: `(week, cumulative_fraction)`
-    /// ascending. Empty = everything published from week 0.
-    pub adoption_curve: Vec<(u32, f64)>,
     /// Caps each Zipf hosting pool to its first N (highest-weight) ASes.
     /// The internet tier uses this: ~2½k distinct hosting ASes bounds the
     /// destination set routing tables are built for, matching the paper's
@@ -84,7 +81,7 @@ pub struct PopulationConfig {
 impl PopulationConfig {
     /// A small population for tests: high adoption so dual-stack analysis
     /// has data even with few sites.
-    pub fn test_small(total_weeks: u32) -> Self {
+    pub fn test_small() -> Self {
         PopulationConfig {
             n_sites: 3000,
             adoption_multiplier: 10.0,
@@ -101,27 +98,14 @@ impl PopulationConfig {
             rate_cap_median_kbps: 400.0,
             ipv6_day_share: 0.12,
             whitelist_share_top: 0.15,
-            total_weeks,
             initial_presence: 0.7,
-            adoption_curve: Vec::new(),
             hosting_pool_cap: None,
         }
     }
 
     /// Paper-scale population (hundred-thousand-site "1M-equivalent").
-    pub fn paper_scale(total_weeks: u32, adoption_curve: Vec<(u32, f64)>) -> Self {
-        PopulationConfig {
-            n_sites: 120_000,
-            adoption_multiplier: 1.6,
-            ..Self::test_small(total_weeks)
-        }
-        .with_curve(adoption_curve)
-    }
-
-    /// Replaces the adoption curve.
-    pub fn with_curve(mut self, curve: Vec<(u32, f64)>) -> Self {
-        self.adoption_curve = curve;
-        self
+    pub fn paper_scale() -> Self {
+        PopulationConfig { n_sites: 120_000, adoption_multiplier: 1.6, ..Self::test_small() }
     }
 }
 
@@ -183,12 +167,23 @@ fn pick_zipf<R: Rng>(rng: &mut R, pool: &[(AsId, f64)], total: f64) -> AsId {
 /// # Panics
 /// Panics if the topology lacks the AS kinds sites need (see
 /// [`try_generate`]) or the site count overflows the id space.
-pub fn generate(config: &PopulationConfig, topo: &Topology, seed: u64) -> (Vec<Site>, NameTable) {
-    try_generate(config, topo, seed).expect("site id space overflow")
+pub fn generate(
+    config: &PopulationConfig,
+    topo: &Topology,
+    total_weeks: u32,
+    adoption_curve: &[(u32, f64)],
+    seed: u64,
+) -> (Vec<Site>, NameTable) {
+    try_generate(config, topo, total_weeks, adoption_curve, seed).expect("site id space overflow")
 }
 
 /// Generates the monitored site population, reporting id-space overflow as
 /// a typed error instead of truncating site indices into `u32` ids.
+///
+/// Sites not present from week 0 churn in at a week in
+/// `1..total_weeks`, the campaign's length; AAAA publication weeks are
+/// drawn from `adoption_curve`, cumulative `(week, fraction)` pairs in
+/// ascending order (empty: every AAAA record is published at week 0).
 ///
 /// # Panics
 /// Panics if the topology lacks content ASes, dual-stack content ASes, CDN
@@ -196,6 +191,8 @@ pub fn generate(config: &PopulationConfig, topo: &Topology, seed: u64) -> (Vec<S
 pub fn try_generate(
     config: &PopulationConfig,
     topo: &Topology,
+    total_weeks: u32,
+    adoption_curve: &[(u32, f64)],
     seed: u64,
 ) -> Result<(Vec<Site>, NameTable), IdOverflow> {
     let mut rng = derive_rng(seed, "population");
@@ -324,7 +321,7 @@ pub fn try_generate(
             let whitelist_only = rank <= 100 && coin(&mut rng, config.whitelist_share_top);
             SiteV6 {
                 dest_as,
-                from_week: sample_adoption_week(&mut rng, &config.adoption_curve),
+                from_week: sample_adoption_week(&mut rng, adoption_curve),
                 via_6to4,
                 extra_v6_rtt_ms,
                 ipv6_day_participant: coin(&mut rng, participation_p),
@@ -360,7 +357,7 @@ pub fn try_generate(
         let first_seen_week = if coin(&mut rng, config.initial_presence) {
             0
         } else {
-            rng.gen_range(1..config.total_weeks.max(2))
+            rng.gen_range(1..total_weeks.max(2))
         };
 
         sites.push(Site {
@@ -385,8 +382,7 @@ mod tests {
 
     fn world() -> (ipv6web_topology::Topology, Vec<Site>) {
         let topo = gen_topo(&TopologyConfig::test_small(), 5);
-        let cfg = PopulationConfig::test_small(60);
-        let (sites, _names) = generate(&cfg, &topo, 5);
+        let (sites, _names) = generate(&PopulationConfig::test_small(), &topo, 60, &[], 5);
         (topo, sites)
     }
 
@@ -414,14 +410,14 @@ mod tests {
     #[test]
     fn deterministic() {
         let topo = gen_topo(&TopologyConfig::test_small(), 5);
-        let cfg = PopulationConfig::test_small(60);
-        assert_eq!(generate(&cfg, &topo, 9), generate(&cfg, &topo, 9));
+        let cfg = PopulationConfig::test_small();
+        assert_eq!(generate(&cfg, &topo, 60, &[], 9), generate(&cfg, &topo, 60, &[], 9));
     }
 
     #[test]
     fn names_intern_in_site_order() {
         let topo = gen_topo(&TopologyConfig::test_small(), 5);
-        let (sites, names) = generate(&PopulationConfig::test_small(60), &topo, 5);
+        let (sites, names) = generate(&PopulationConfig::test_small(), &topo, 60, &[], 5);
         assert_eq!(names.len(), sites.len());
         for s in sites.iter().take(50) {
             assert_eq!(names.get(s.name), format!("site{}.web.example", s.id.0));
@@ -431,9 +427,9 @@ mod tests {
     #[test]
     fn hosting_pool_cap_concentrates_destinations() {
         let topo = gen_topo(&TopologyConfig::test_small(), 5);
-        let mut cfg = PopulationConfig::test_small(60);
+        let mut cfg = PopulationConfig::test_small();
         cfg.hosting_pool_cap = Some(4);
-        let (sites, _) = generate(&cfg, &topo, 5);
+        let (sites, _) = generate(&cfg, &topo, 60, &[], 5);
         use std::collections::HashSet;
         let v4_ases: HashSet<AsId> = sites
             .iter()

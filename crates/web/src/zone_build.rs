@@ -48,7 +48,7 @@ mod tests {
 
     fn setup() -> (ipv6web_topology::Topology, Vec<Site>, ZoneDb) {
         let topo = gen_topo(&TopologyConfig::test_small(), 7);
-        let (sites, names) = generate(&PopulationConfig::test_small(60), &topo, 7);
+        let (sites, names) = generate(&PopulationConfig::test_small(), &topo, 60, &[], 7);
         let db = build_zone(&topo, &sites, names);
         (topo, sites, db)
     }

@@ -14,7 +14,7 @@ use ipv6web::web::{build_zone, population, PopulationConfig};
 #[test]
 fn dns_query_resolves_into_generated_topology_addresses() {
     let topo = generate(&TopologyConfig::test_small(), 3);
-    let (sites, names) = population::generate(&PopulationConfig::test_small(10), &topo, 3);
+    let (sites, names) = population::generate(&PopulationConfig::test_small(), &topo, 10, &[], 3);
     let zone = build_zone(&topo, &sites, names);
     let mut resolver = Resolver::new();
     let dual = sites
@@ -45,7 +45,8 @@ fn resolver_answers_equal_the_authority_across_weeks() {
     use ipv6web::dns::{Answer, RecordData, ResolverStats};
     const WEEKS: u32 = 52;
     let topo = generate(&TopologyConfig::test_small(), 4);
-    let (sites, names) = population::generate(&PopulationConfig::test_small(WEEKS), &topo, 4);
+    let (sites, names) =
+        population::generate(&PopulationConfig::test_small(), &topo, WEEKS, &[], 4);
     let zone = build_zone(&topo, &sites, names);
     // every interned name, plus names the zone never interned: a trailing-dot
     // form (cold path, but its decoded question is a real name) and misses
@@ -179,7 +180,7 @@ fn traceroute_hop_rtts_consistent_with_path_metrics() {
 #[test]
 fn probe_pipeline_runs_outside_the_campaign_driver() {
     let topo = generate(&TopologyConfig::test_small(), 9);
-    let (sites, names) = population::generate(&PopulationConfig::test_small(10), &topo, 9);
+    let (sites, names) = population::generate(&PopulationConfig::test_small(), &topo, 10, &[], 9);
     let zone = build_zone(&topo, &sites, names);
     let vantage =
         topo.nodes().iter().find(|n| n.tier == Tier::Access && n.is_dual_stack()).unwrap().id;

@@ -82,7 +82,8 @@ struct World {
 
 fn world() -> World {
     let topo = generate(&TopologyConfig::test_small(), 21);
-    let (sites, names) = population::generate(&PopulationConfig::test_small(WEEKS), &topo, 21);
+    let (sites, names) =
+        population::generate(&PopulationConfig::test_small(), &topo, WEEKS, &[], 21);
     let zone = build_zone(&topo, &sites, names);
     let vantage =
         topo.nodes().iter().find(|n| n.tier == Tier::Access && n.is_dual_stack()).unwrap().id;

@@ -15,8 +15,14 @@
 # on both, byte-compares the two reports and the two stdouts with
 # tools/ci-compare.sh, and gates the working tree's run against REF's
 # BENCH.json (`repro --baseline`), which fails on any counter or histogram
-# that differs (besides a wall time or peak RSS 50% over REF's). Every
-# comparison runs; the script exits 1 if any of them failed.
+# that differs (besides a wall time or peak RSS 50% over REF's). It also
+# runs
+#
+#   repro all --scale faults --seed 42 --checkpoint-dir D
+#
+# on both at IPV6WEB_THREADS 1 and 4, each into a fresh D, and byte-compares
+# every file of REF's D with the working tree's. Every comparison runs; the
+# script exits 1 if any of them failed.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -75,8 +81,35 @@ for scale in quick faults nat64 panel internet-smoke; do
   done
 done
 
+for threads in 1 4; do
+  run="faults seed 42 threads $threads checkpoints"
+  out="$work/ckpt-$threads"
+  ran=1
+  for side in ref cur; do
+    repro_bin=$ref_repro
+    if [[ $side == cur ]]; then repro_bin=$cur_repro; fi
+    if ! IPV6WEB_THREADS=$threads "$repro_bin" all --scale faults --seed 42 \
+      --checkpoint-dir "$out.$side" >/dev/null 2>"$out.$side.err"; then
+      echo "identity-vs: $run: the $side run failed:" >&2
+      tail -5 "$out.$side.err" >&2
+      ran=0
+    fi
+  done
+  if [[ $ran -eq 0 ]]; then
+    fail=1
+  elif [[ -z "$(ls -A "$out.ref")" ]]; then
+    echo "identity-vs: $run: REF wrote no checkpoint files" >&2
+    fail=1
+  elif diff -r -q "$out.ref" "$out.cur" >&2; then
+    echo "identity-vs: $run: identical ($(ls "$out.ref" | wc -l) files)"
+  else
+    echo "identity-vs: $run: the checkpoint files differ (above)" >&2
+    fail=1
+  fi
+done
+
 if [[ $fail -ne 0 ]]; then
   echo "identity-vs: FAIL — the working tree differs from $ref" >&2
   exit 1
 fi
-echo "identity-vs: reports, stdout and counts identical to $ref"
+echo "identity-vs: reports, stdout, counts and checkpoints identical to $ref"
